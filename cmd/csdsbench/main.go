@@ -62,7 +62,6 @@ import (
 	"csds/internal/core"
 	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/tuner"
 	"csds/internal/workload"
 
@@ -306,6 +305,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "csdsbench: -fault: %v\n", perr)
 		return 1
 	}
+	if *o.delayed > 0 {
+		// -delayed is shorthand for the Figure 9 rule on cs.delay; a plan
+		// that already schedules that point would be silently overridden.
+		if plan.Enabled(fault.CSDelay) {
+			fmt.Fprintf(stderr, "csdsbench: -delayed adds the Figure 9 rule on %s, which the -fault plan already schedules; drop one\n", fault.CSDelay)
+			return 1
+		}
+		if plan == nil {
+			plan = fault.NewPlan(1)
+		}
+		plan.Set(fault.CSDelay, fault.Figure9(uint64(*o.delayed)))
+	}
 
 	// The workload: flags alone, or a named mix overridden field by field
 	// by whichever flags were explicitly set (-size always governs the
@@ -387,10 +398,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheTTL: *o.cacheTTL, CacheAdmission: cacheAdmit,
 		Fault:    plan,
 		Workload: wcfg,
-	}
-	if *o.delayed > 0 {
-		cfg.DelayedThreads = *o.delayed
-		cfg.DelayPlan = interrupt.PaperDelayPlan()
 	}
 	if *o.resizeAt != "" {
 		steps, err := parseResizeSteps(*o.resizeAt)

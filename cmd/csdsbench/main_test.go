@@ -442,6 +442,29 @@ func TestBenchRunSmoke(t *testing.T) {
 	}
 }
 
+// TestDelayedFoldsIntoFaultPlan: -delayed adds the Figure 9 rule to the
+// fault plan, so its firings show in the faults line, and it refuses a
+// -fault plan that already schedules cs.delay.
+func TestDelayedFoldsIntoFaultPlan(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run([]string{
+		"-alg", "list/lazy", "-threads", "2", "-size", "64", "-updates", "0.5",
+		"-dur", "20ms", "-runs", "1", "-delayed", "1",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("-delayed run exited %d (stderr: %s)", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "cs.delay=") {
+		t.Fatalf("report does not tally the Figure 9 firings:\n%s", out.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	code = run([]string{"-alg", "list/lazy", "-dur", "10ms", "-delayed", "1", "-fault", "cs.delay:p=0.1"}, &out, &errOut)
+	if code == 0 || !strings.Contains(errOut.String(), "cs.delay") {
+		t.Fatalf("-delayed with a cs.delay -fault plan: exit %d, stderr %q", code, errOut.String())
+	}
+}
+
 // TestWorkloadFlagSmoke runs a named mix end to end: the report labels
 // the workload, and a dynamic mix (flash) runs without error.
 func TestWorkloadFlagSmoke(t *testing.T) {

@@ -24,8 +24,8 @@ import (
 	"time"
 
 	"csds/internal/birthday"
+	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/queuestack"
 	"csds/internal/sim"
 	"csds/internal/workload"
@@ -270,8 +270,8 @@ func fig9() {
 	for _, alg := range featured {
 		res, err := harness.Run(harness.Config{
 			Algorithm: alg, Threads: 20, Duration: *dur, Runs: *runs,
-			Workload:       workload.Config{Size: 2048, UpdateRatio: 0.1},
-			DelayedThreads: 1, DelayPlan: interrupt.PaperDelayPlan(),
+			Workload: workload.Config{Size: 2048, UpdateRatio: 0.1},
+			Fault:    fault.NewPlan(1).Set(fault.CSDelay, fault.Figure9(1)),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -311,8 +311,8 @@ func table2() {
 			if *engine == "run" {
 				res, _ := harness.Run(harness.Config{
 					Algorithm: alg, Threads: 32, Duration: *dur, Runs: *runs, ElideAttempts: 5,
-					Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-					SwitchPlan: &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond},
+					Workload: workload.Config{Size: 1024, UpdateRatio: u},
+					Fault:    fault.NewPlan(1).Set(fault.CSDelay, fault.Multiprogramming()),
 				})
 				fmt.Printf(" %12.5f", res.FallbackFrac)
 			} else {
@@ -336,8 +336,8 @@ func table3() {
 				mk := func(elide int) float64 {
 					res, _ := harness.Run(harness.Config{
 						Algorithm: alg, Threads: 32, Duration: *dur, Runs: *runs, ElideAttempts: elide,
-						Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-						SwitchPlan: &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond},
+						Workload: workload.Config{Size: 1024, UpdateRatio: u},
+						Fault:    fault.NewPlan(1).Set(fault.CSDelay, fault.Multiprogramming()),
 					})
 					return res.Throughput
 				}

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/queuestack"
 	"csds/internal/sim"
 	"csds/internal/workload"
@@ -93,9 +93,8 @@ func BenchmarkFig9Run(b *testing.B) {
 		b.Run("alg="+alg, func(b *testing.B) {
 			benchCell(b, harness.Config{
 				Algorithm: alg, Threads: 20,
-				Workload:       workload.Config{Size: 2048, UpdateRatio: 0.1},
-				DelayedThreads: 1,
-				DelayPlan:      interrupt.PaperDelayPlan(),
+				Workload: workload.Config{Size: 2048, UpdateRatio: 0.1},
+				Fault:    fault.NewPlan(1).Set(fault.CSDelay, fault.Figure9(1)),
 			})
 		})
 	}
@@ -161,9 +160,7 @@ func BenchmarkTable2Run(b *testing.B) {
 				benchCell(b, harness.Config{
 					Algorithm: alg, Threads: 32, ElideAttempts: 5,
 					Workload: workload.Config{Size: 1024, UpdateRatio: u},
-					SwitchPlan: &interrupt.SwitchPlan{
-						Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond,
-					},
+					Fault:    fault.NewPlan(1).Set(fault.CSDelay, fault.Multiprogramming()),
 				})
 			})
 		}
@@ -190,15 +187,15 @@ func BenchmarkTable2Sim(b *testing.B) {
 }
 
 func BenchmarkTable3Run(b *testing.B) {
-	sp := &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond}
+	sp := fault.NewPlan(1).Set(fault.CSDelay, fault.Multiprogramming())
 	for _, alg := range featuredAlgs {
 		for _, u := range []float64{0.2, 1.0} {
 			for _, elide := range []int{0, 5} {
 				b.Run(fmt.Sprintf("alg=%s/upd=%g/elide=%d", alg, u, elide), func(b *testing.B) {
 					benchCell(b, harness.Config{
 						Algorithm: alg, Threads: 32, ElideAttempts: elide,
-						Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-						SwitchPlan: sp,
+						Workload: workload.Config{Size: 1024, UpdateRatio: u},
+						Fault:    sp,
 					})
 				})
 			}

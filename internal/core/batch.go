@@ -153,24 +153,6 @@ func OrderInto(ord []int, key func(int) Key) {
 	sort.SliceStable(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
 }
 
-// BatchOrder returns the batch indices 0..n-1 ordered by ascending key
-// (see OrderInto), in a freshly allocated slice.
-func BatchOrder(n int, key func(int) Key) []int {
-	ord := make([]int, n)
-	OrderInto(ord, key)
-	return ord
-}
-
-// KeyOrder is BatchOrder over a key slice.
-func KeyOrder(keys []Key) []int {
-	return BatchOrder(len(keys), func(i int) Key { return keys[i] })
-}
-
-// PairOrder is BatchOrder over a pair slice.
-func PairOrder(pairs []KV) []int {
-	return BatchOrder(len(pairs), func(i int) Key { return pairs[i].K })
-}
-
 // LoopMultiGet implements MultiGet as a loop of point Gets — the
 // fallback for structures whose point read is already O(1)-ish (hash
 // tables) and for foreign Sets wrapped by AsBatcher.

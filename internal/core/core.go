@@ -93,9 +93,6 @@ type Ctx struct {
 	Doom *htm.Doom
 	// Epoch is the worker's EBR record; may be nil (GC-only reclamation).
 	Epoch *ebr.Record
-	// CSHook, when non-nil, is invoked by blocking write phases while
-	// their locks are held (interrupt injection point, Figure 9).
-	CSHook func()
 	// Fault is the worker's deterministic fault injector; nil means no
 	// faults. Structure and combinator code consults it only through the
 	// Fault* helpers below, which tolerate nil at every level.
@@ -127,10 +124,12 @@ func (c *Ctx) Stat() *stats.Thread {
 	return c.Stats
 }
 
-// InCS fires the critical-section hook, tolerating nil.
+// InCS is the in-lock fault point: blocking write phases call it while
+// their locks are held, and it serves any cs.delay the injector has
+// pending (the Figure 9 adversary). Tolerates nil.
 func (c *Ctx) InCS() {
-	if c != nil && c.CSHook != nil {
-		c.CSHook()
+	if c != nil && c.Fault != nil {
+		c.Fault.InCS()
 	}
 }
 

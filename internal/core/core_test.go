@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"csds/internal/ebr"
+	"csds/internal/fault"
 	"csds/internal/stats"
 )
 
@@ -127,11 +129,15 @@ func TestCtxHelpers(t *testing.T) {
 	if c.ID != 7 || c.Rng == nil || c.Stats == nil || c.Doom == nil {
 		t.Fatalf("NewCtx incomplete: %+v", c)
 	}
-	fired := 0
-	c.CSHook = func() { fired++ }
+	// InCS serves the cs.delay the injector drew for this update.
+	const d = 100 * time.Microsecond
+	tally := fault.NewTally()
+	c.Fault = fault.NewInjector(fault.NewPlan(1).Set(fault.CSDelay, fault.Rule{Every: 1, Min: d, Max: d}), 0, tally)
+	c.Fault.OnUpdate()
+	start := time.Now()
 	c.InCS()
-	if fired != 1 {
-		t.Fatal("InCS did not fire hook")
+	if el := time.Since(start); el < d || tally.Count(fault.CSDelay) != 1 {
+		t.Fatalf("InCS did not serve the drawn cs.delay: waited %v, fired %d", el, tally.Count(fault.CSDelay))
 	}
 	c.RecordRestarts(2)
 	if c.Stats.RestartedOps[2] != 1 {

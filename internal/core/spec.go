@@ -117,16 +117,6 @@ func (s *Spec) String() string {
 	return fmt.Sprintf("%s(%d,%s)", s.Name, s.Arg, s.Inner)
 }
 
-// Depth returns the number of combinator layers above the leaf.
-func (s *Spec) Depth() int {
-	d := 0
-	for !s.IsLeaf() {
-		d++
-		s = s.Inner
-	}
-	return d
-}
-
 // maxSpecArg bounds combinator parameters at parse time; it exists to turn
 // typos like sharded(1e9,...) into errors instead of huge allocations.
 const maxSpecArg = 1 << 24

@@ -11,7 +11,7 @@ func TestParseSpecLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsLeaf() || s.Name != "list/lazy" || s.Arg != 0 || s.Depth() != 0 {
+	if !s.IsLeaf() || s.Name != "list/lazy" || s.Arg != 0 {
 		t.Fatalf("leaf parse wrong: %+v", s)
 	}
 	if s.String() != "list/lazy" {
@@ -30,9 +30,6 @@ func TestParseSpecComposite(t *testing.T) {
 	if !s.Inner.IsLeaf() || s.Inner.Name != "list/lazy" {
 		t.Fatalf("inner parse wrong: %+v", s.Inner)
 	}
-	if s.Depth() != 1 {
-		t.Fatalf("Depth = %d", s.Depth())
-	}
 	if s.String() != "sharded(16,list/lazy)" {
 		t.Fatalf("String = %q", s)
 	}
@@ -43,10 +40,10 @@ func TestParseSpecNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "readcache" || s.Arg != 512 || s.Depth() != 2 {
-		t.Fatalf("outer wrong: %+v depth %d", s, s.Depth())
+	if s.Name != "readcache" || s.Arg != 512 {
+		t.Fatalf("outer wrong: %+v", s)
 	}
-	if s.Inner.Name != "sharded" || s.Inner.Arg != 4 || s.Inner.Inner.Name != "hashtable/lazy" {
+	if s.Inner.Name != "sharded" || s.Inner.Arg != 4 || s.Inner.Inner.Name != "hashtable/lazy" || !s.Inner.Inner.IsLeaf() {
 		t.Fatalf("nesting wrong: %v", s)
 	}
 }

@@ -1,10 +1,13 @@
 // Package fault is the repository's deterministic fault plane: a seedable,
-// schedule-driven injector that generalizes internal/interrupt (the paper's
-// §5.4 delay experiments) into named fault points threaded through every
-// layer — structure/combinator boundaries (operation delays, forced
-// guard-validation failures), the EBR domain (stalled and abandoned
-// records, delayed retire callbacks), and the serving stack (slow/torn/
-// dropped connections, injected handler panics, forced busy shedding).
+// schedule-driven injector with named fault points threaded through every
+// layer — structure/combinator boundaries (operation delays, in-lock
+// delays, forced guard-validation failures), the EBR domain (stalled and
+// abandoned records, delayed retire callbacks), and the serving stack
+// (slow/torn/dropped connections, injected handler panics, forced busy
+// shedding). The paper's §5.4 adversaries are pinned plans on the cs.delay
+// point: Figure9 (a victim thread delayed while holding locks) and
+// Multiprogramming (the Tables 2–3 context switches, which abort an
+// elided critical section instead of stalling inside it).
 //
 // Determinism is the whole point: a Plan is a seed plus a set of per-point
 // rules, an Injector derives one private RNG stream per (point, worker)
@@ -30,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csds/internal/htm"
 	"csds/internal/xrand"
 )
 
@@ -44,8 +48,10 @@ const (
 	// case.
 	OpDelay Point = "op.delay"
 	// CSDelay delays a worker inside a write critical section, while its
-	// locks are held — the paper's Figure 9 adversary, routed through
-	// core.Ctx.CSHook.
+	// locks are held — the paper's Figure 9 adversary. It is drawn once per
+	// update the worker issues (Injector.OnUpdate) and served at the
+	// update's next core.Ctx.InCS; an eliding worker instead dooms the
+	// speculation and serves the time between operations.
 	CSDelay Point = "cs.delay"
 	// GuardFail forces a ScanGuard validation failure after an otherwise
 	// consistent optimistic collect, driving scans and cursor pages down
@@ -100,10 +106,13 @@ var pointIndex = func() map[Point]int {
 // each draw with that probability, Every fires deterministically on every
 // N-th draw (the reproducible-count workhorse). Min/Max bound the injected
 // duration for delay-shaped points; points without a duration ignore them.
+// Workers > 0 arms the point only on injectors for workers below it
+// (victim threads); 0 arms it everywhere.
 type Rule struct {
 	Prob     float64
 	Every    uint64
 	Min, Max time.Duration
+	Workers  uint64
 }
 
 func (r Rule) validate(pt Point) error {
@@ -197,6 +206,9 @@ func (p *Plan) String() string {
 		if r.Max > 0 {
 			fmt.Fprintf(&b, ",min=%v,max=%v", r.Min, r.Max)
 		}
+		if r.Workers > 0 {
+			fmt.Fprintf(&b, ",workers=%d", r.Workers)
+		}
 	}
 	return b.String()
 }
@@ -207,10 +219,11 @@ func (p *Plan) String() string {
 //
 // Segments are ';'-separated. "seed=N" may appear anywhere (default 1).
 // Every other segment is point:key=value[,key=value...] with keys p
-// (probability), every (fire each N-th draw; exclusive with p), and
-// min/max (Go durations). The shorthands "" and "off" mean no plan
-// (nil, nil); "chaos" or "chaos:seed=N" is the standard battery schedule
-// (ChaosPlan). Unknown points and malformed rules are errors.
+// (probability), every (fire each N-th draw; exclusive with p), min/max
+// (Go durations) and workers (arm only workers 0..N-1). The shorthands ""
+// and "off" mean no plan (nil, nil); "chaos" or "chaos:seed=N" is the
+// standard battery schedule (ChaosPlan). Unknown points and malformed
+// rules are errors.
 func ParsePlan(spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	switch {
@@ -264,6 +277,11 @@ func ParsePlan(spec string) (*Plan, error) {
 				r.Min, err = time.ParseDuration(v)
 			case "max":
 				r.Max, err = time.ParseDuration(v)
+			case "workers":
+				r.Workers, err = strconv.ParseUint(v, 10, 64)
+				if err == nil && r.Workers == 0 {
+					err = fmt.Errorf("must be at least 1 (omit it to arm every worker)")
+				}
 			default:
 				err = fmt.Errorf("unknown key %q", k)
 			}
@@ -299,6 +317,23 @@ func ChaosPlan(seed uint64) *Plan {
 		Set(RetireDelay, Rule{Prob: 0.02, Min: time.Microsecond, Max: 10 * time.Microsecond}).
 		Set(EBRStall, Rule{Every: 7, Min: 50 * time.Microsecond, Max: 500 * time.Microsecond}).
 		Set(EBRAbandon, Rule{Every: 11})
+}
+
+// Figure9 is the paper's Figure 9 victim schedule as a cs.delay rule: each
+// of the first victims workers is "delayed for a random interval between
+// 1000 and 100000 ns every 10 updates, while holding locks".
+func Figure9(victims uint64) Rule {
+	return Rule{Every: 10, Min: time.Microsecond, Max: 100 * time.Microsecond, Workers: victims}
+}
+
+// Multiprogramming is the Tables 2–3 context-switch schedule as a cs.delay
+// rule on every worker: an update's critical section is hit with
+// probability 0.0005 and the thread is then off CPU for 50–500µs. With
+// several threads per hardware context a short critical section is hit
+// rarely, but across millions of updates a few hits land inside the write
+// phase, which is what Table 2 measures.
+func Multiprogramming() Rule {
+	return Rule{Prob: 0.0005, Min: 50 * time.Microsecond, Max: 500 * time.Microsecond}
 }
 
 // Tally counts firings per point, shared by all of a run's injectors.
@@ -376,6 +411,13 @@ func (t *Tally) String() string {
 type Injector struct {
 	tally *Tally
 	pts   [numPoints]injPoint
+
+	// doom, when set by Elide, receives cs.delay firings: the speculation
+	// aborts and the delay moves outside the critical section.
+	doom *htm.Doom
+	// pendingCS is a cs.delay to serve at the next InCS (locks held);
+	// pendingOff one to serve at the next BetweenOps (elided mode).
+	pendingCS, pendingOff time.Duration
 }
 
 type injPoint struct {
@@ -388,7 +430,8 @@ type injPoint struct {
 // NewInjector builds worker w's injector for plan. The stream for each
 // point mixes the plan seed, the point's canonical index, and the worker
 // index, so adding a point to a plan does not shift any other point's
-// stream. tally may be nil (no counting); a nil plan returns nil.
+// stream. Points whose rule names fewer Workers than w+1 stay unarmed.
+// tally may be nil (no counting); a nil plan returns nil.
 func NewInjector(plan *Plan, worker uint64, tally *Tally) *Injector {
 	if plan == nil {
 		return nil
@@ -396,7 +439,7 @@ func NewInjector(plan *Plan, worker uint64, tally *Tally) *Injector {
 	in := &Injector{tally: tally}
 	for i, pt := range Points {
 		r, ok := plan.rules[pt]
-		if !ok {
+		if !ok || (r.Workers > 0 && worker >= r.Workers) {
 			continue
 		}
 		seed := plan.Seed
@@ -460,9 +503,63 @@ func (in *Injector) Delay(pt Point) bool {
 	return true
 }
 
-// Spin busy-waits for about d, yielding the processor each iteration —
-// the same adversary shape as interrupt.Spin: the goroutine stays
-// runnable (and keeps holding whatever it holds) instead of parking.
+// Elide switches cs.delay to the TSX behaviour of an eliding worker: a
+// firing arms doom, so the worker's next speculation aborts, and the drawn
+// time is spent at the next BetweenOps, with no lock held.
+func (in *Injector) Elide(doom *htm.Doom) {
+	if in != nil {
+		in.doom = doom
+	}
+}
+
+// OnUpdate draws cs.delay once for an update the worker is about to issue.
+// A firing is served inside that update's critical section (InCS) or, when
+// eliding, dooms the speculation and waits for BetweenOps. Drawing per
+// update rather than per critical-section entry keeps the rate independent
+// of how many updates a structure's write phase actually enters.
+func (in *Injector) OnUpdate() {
+	if !in.Fire(CSDelay) {
+		return
+	}
+	d := in.Duration(CSDelay)
+	if in.doom != nil {
+		in.doom.Arm()
+		in.pendingOff += d
+		return
+	}
+	in.pendingCS += d
+}
+
+// InCS serves a pending cs.delay; blocking write phases call it (through
+// core.Ctx.InCS) while their locks are held.
+func (in *Injector) InCS() {
+	if in != nil && in.pendingCS > 0 {
+		serve(&in.pendingCS)
+	}
+}
+
+// BetweenOps is the worker's between-operations point: it serves a
+// cs.delay deferred by elision, then draws op.delay.
+func (in *Injector) BetweenOps() {
+	if in == nil {
+		return
+	}
+	if in.pendingOff > 0 {
+		serve(&in.pendingOff)
+	}
+	in.Delay(OpDelay)
+}
+
+// serve spins off a pending delay and clears it.
+func serve(pending *time.Duration) {
+	d := *pending
+	*pending = 0
+	Spin(d)
+}
+
+// Spin busy-waits for about d, yielding the processor each iteration
+// (time.Sleep's floor is too coarse for microsecond delays): the goroutine
+// stays runnable, and keeps holding whatever it holds, instead of parking.
 func Spin(d time.Duration) {
 	if d <= 0 {
 		return

@@ -24,7 +24,6 @@ import (
 	"csds/internal/ebr"
 	"csds/internal/fault"
 	"csds/internal/htm"
-	"csds/internal/interrupt"
 	"csds/internal/stats"
 	"csds/internal/workload"
 	"csds/internal/xrand"
@@ -60,21 +59,14 @@ type Config struct {
 	CacheTTL       time.Duration
 	CacheAdmission string
 
-	// DelayedThreads is how many workers run the Figure 9 victim plan
-	// (delays while holding locks).
-	DelayedThreads int
-	DelayPlan      interrupt.DelayPlan
-
-	// SwitchPlan, when non-nil on a run, subjects every worker to
-	// multiprogramming-style context switches (Tables 2–3).
-	SwitchPlan *interrupt.SwitchPlan
-
-	// Fault, when non-nil, arms the chaos plane (internal/fault) for the
+	// Fault, when non-nil, arms the fault plane (internal/fault) for the
 	// run: every worker gets a deterministic per-worker injector wired
 	// into its context (operation delays, critical-section delays,
 	// forced guard failures, delayed retire callbacks), and — with EBR
 	// on — a reclamation antagonist stalls and abandons records for the
-	// plan's ebr.* points. Firing counts land in Result.FaultFires.
+	// plan's ebr.* points. Firing counts land in Result.FaultFires. The
+	// §5.4 adversaries are cs.delay plans: fault.Figure9 for the Figure 9
+	// victim thread, fault.Multiprogramming for Tables 2–3.
 	Fault *fault.Plan
 
 	// ResizeSteps schedules explicit width changes at fixed offsets into
@@ -462,36 +454,14 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 					ths[w].Reclaims = c.Epoch.Reclaimed
 				}()
 			}
-			inj := interrupt.NewInjector(cfg.Seed + uint64(w) + round)
-			if w < cfg.DelayedThreads {
-				dp := cfg.DelayPlan
-				inj.Delay = &dp
+			// The fault plane: one deterministic injector per worker (nil
+			// without a plan). An eliding worker takes cs.delay firings
+			// as aborted speculations rather than in-lock stalls.
+			fin := fault.NewInjector(cfg.Fault, uint64(w), tally)
+			if cfg.ElideAttempts > 0 {
+				fin.Elide(c.Doom)
 			}
-			if cfg.SwitchPlan != nil {
-				sp := *cfg.SwitchPlan
-				inj.Switch = &sp
-			}
-			inj.Doom = c.Doom
-			inj.Elided = cfg.ElideAttempts > 0
-			if inj.Delay != nil || inj.Switch != nil {
-				c.CSHook = inj.CSHook
-			}
-			// Chaos plane: the fault injector's per-worker stream rides
-			// alongside the interrupt injector — interrupts model scheduler
-			// hostility, faults model everything else (forced guard
-			// failures, delayed retires, scheduled stalls). The CS hooks
-			// chain so both planes can fire inside one critical section.
-			var fin *fault.Injector
-			if cfg.Fault != nil {
-				fin = fault.NewInjector(cfg.Fault, uint64(w), tally)
-				c.Fault = fin
-				prev := c.CSHook
-				if prev == nil {
-					c.CSHook = func() { fin.Delay(fault.CSDelay) }
-				} else {
-					c.CSHook = func() { prev(); fin.Delay(fault.CSDelay) }
-				}
-			}
+			c.Fault = fin
 
 			// Reusable batch buffers: grown to the largest batch drawn so
 			// far and refilled in place, so steady-state batch issue costs
@@ -526,11 +496,11 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 					_, hit := s.Get(c, k)
 					c.Stats.RecordRead(hit)
 				case workload.OpPut:
-					inj.OnUpdate()
+					fin.OnUpdate()
 					ok := s.Put(c, k, core.Value(k))
 					c.Stats.RecordInsert(ok)
 				case workload.OpRemove:
-					inj.OnUpdate()
+					fin.OnUpdate()
 					ok := s.Remove(c, k)
 					c.Stats.RecordRemove(ok)
 				case workload.OpScan:
@@ -585,7 +555,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						batcher.MultiGet(c, keyBuf, func(int, core.Value, bool) {})
 						c.Stats.RecordBatch(n, uint64(time.Since(batchStart)))
 					case workload.OpMultiPut:
-						inj.OnUpdate()
+						fin.OnUpdate()
 						pairBuf = pairBuf[:0]
 						for i := 0; i < n; i++ {
 							bk := gen.KeyAt(rng, phase)
@@ -595,7 +565,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						batcher.MultiPut(c, pairBuf, func(int, bool) {})
 						c.Stats.RecordBatch(n, uint64(time.Since(batchStart)))
 					default: // workload.OpMultiRemove
-						inj.OnUpdate()
+						fin.OnUpdate()
 						keyBuf = keyBuf[:0]
 						for i := 0; i < n; i++ {
 							keyBuf = append(keyBuf, gen.KeyAt(rng, phase))
@@ -620,8 +590,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						time.Sleep(time.Duration(tn))
 					}
 				}
-				inj.BetweenOps()
-				fin.Delay(fault.OpDelay)
+				fin.BetweenOps()
 			}
 			ths[w].ActiveNs = uint64(time.Since(t0))
 		}(w)

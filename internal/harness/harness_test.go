@@ -2,11 +2,12 @@ package harness
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"csds/internal/core"
-	"csds/internal/interrupt"
+	"csds/internal/fault"
 	"csds/internal/stats"
 	"csds/internal/workload"
 
@@ -445,29 +446,86 @@ func TestEBRRun(t *testing.T) {
 	}
 }
 
-func TestDelayedThreadRun(t *testing.T) {
-	cfg := quick("list/lazy")
-	cfg.DelayedThreads = 1
-	cfg.DelayPlan = interrupt.PaperDelayPlan()
-	cfg.Workload.UpdateRatio = 0.5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalOps == 0 {
-		t.Fatal("no ops with delayed thread")
+// workerUpdates counts, per worker ID, the point updates issued to the
+// "test/update-counter" algorithm by contexts carrying a fault injector
+// (harness workers; the setup fill carries none).
+var workerUpdates [8]atomic.Uint64
+
+type updateCounter struct{ core.Set }
+
+func (u updateCounter) count(c *core.Ctx) {
+	if c.Fault != nil {
+		workerUpdates[c.ID].Add(1)
 	}
 }
 
-func TestSwitchPlanRun(t *testing.T) {
-	cfg := quick("hashtable/lazy")
-	cfg.SwitchPlan = &interrupt.SwitchPlan{Rate: 0.01, MinOff: 10 * time.Microsecond, MaxOff: 50 * time.Microsecond}
+func (u updateCounter) Put(c *core.Ctx, k core.Key, v core.Value) bool {
+	u.count(c)
+	return u.Set.Put(c, k, v)
+}
+
+func (u updateCounter) Remove(c *core.Ctx, k core.Key) bool {
+	u.count(c)
+	return u.Set.Remove(c, k)
+}
+
+func init() {
+	lazy, _ := core.Lookup("list/lazy")
+	core.Register(core.Info{
+		Name: "test/update-counter", Kind: "test", Progress: "blocking",
+		New: func(o core.Options) core.Set { return updateCounter{lazy.New(o)} },
+	})
+}
+
+// The Figure 9 victim: cs.delay fires on worker 0 once per 10 of its
+// updates, and on no other worker.
+func TestFigure9VictimFiresOnWorkerZero(t *testing.T) {
+	for i := range workerUpdates {
+		workerUpdates[i].Store(0)
+	}
+	cfg := quick("test/update-counter")
+	cfg.Workload.UpdateRatio = 0.5
+	cfg.Fault = fault.NewPlan(1).Set(fault.CSDelay, fault.Figure9(1))
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalOps == 0 {
-		t.Fatal("no ops under switch plan")
+	for w := 0; w < cfg.Threads; w++ {
+		if n := workerUpdates[w].Load(); n < 10 {
+			t.Fatalf("worker %d issued only %d updates; the run proves nothing", w, n)
+		}
+	}
+	want := workerUpdates[0].Load() / 10
+	if got := res.FaultFires[fault.CSDelay]; got != want || res.Faults != want {
+		t.Fatalf("cs.delay fired %d times (%d faults total), want %d = worker 0's %d updates / 10",
+			got, res.Faults, want, workerUpdates[0].Load())
+	}
+}
+
+// The Tables 2–3 multiprogramming plan under elision: its firings are
+// tallied and doom speculations instead of stalling lock holders. The
+// rate is raised tenfold so a 40ms window fires reliably even under the
+// race detector.
+func TestMultiprogrammingElidedRun(t *testing.T) {
+	cfg := quick("hashtable/lazy")
+	cfg.Threads = 8
+	cfg.ElideAttempts = 5
+	cfg.Workload = workload.Config{Size: 64, UpdateRatio: 1}
+	rule := fault.Multiprogramming()
+	rule.Prob *= 10
+	cfg.Fault = fault.NewPlan(1).Set(fault.CSDelay, rule)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FallbackFrac <= 0 {
+		t.Fatalf("FallbackFrac = %v, want > 0 under contended elision", res.FallbackFrac)
+	}
+	if res.FaultFires[fault.CSDelay] == 0 {
+		t.Fatalf("multiprogramming plan fired nothing over %d ops", res.TotalOps)
+	}
+	if res.TxAborts[stats.AbortInterrupt] == 0 {
+		t.Fatalf("%d cs.delay firings doomed no speculation: aborts %v", res.FaultFires[fault.CSDelay], res.TxAborts)
 	}
 }
 

@@ -138,7 +138,10 @@ retry:
 				currLink := curr.next[lvl].Load()
 				for currLink.marked {
 					snip := &ixLink{next: currLink.next}
-					if !pred.next[lvl].CompareAndSwap(predLink, snip) {
+					// A marked pred link means pred itself was removed
+					// after we passed it; CASing it to an unmarked snip
+					// would resurrect pred, so restart instead.
+					if predLink.marked || !pred.next[lvl].CompareAndSwap(predLink, snip) {
 						continue retry
 					}
 					if lvl == 0 {

@@ -9,7 +9,7 @@
 //     try-acquires them; any failure is a data conflict (in real HTM two
 //     write phases touching the same cache lines abort each other — here
 //     two write phases touching the same nodes fail each other's trylocks).
-//   - An injected interrupt (context switch, I/O — see internal/interrupt)
+//   - An injected interrupt (context switch, I/O — internal/fault's cs.delay)
 //     dooms the in-flight speculation; the attempt releases everything it
 //     holds and aborts *before performing any writes*, so a descheduled
 //     thread never holds a lock. This mirrors TSX's abort-on-interrupt,

@@ -45,14 +45,17 @@ func init() {
 	})
 }
 
-func (l *Pugh) search(k core.Key) *pughNode {
-	pred := l.head
-	curr := pred.next.Load()
+// search returns the window pred.key < k <= curr.key it walked through.
+// Readers must use curr rather than re-load pred.next: an insert between
+// pred and k in the meantime would hide k from them.
+func (l *Pugh) search(k core.Key) (pred, curr *pughNode) {
+	pred = l.head
+	curr = pred.next.Load()
 	for curr.key < k {
 		pred = curr
 		curr = curr.next.Load()
 	}
-	return pred
+	return pred, curr
 }
 
 // lockPred locks pred and repositions it forward until pred.key < k <=
@@ -79,8 +82,7 @@ func (l *Pugh) lockPred(c *core.Ctx, pred *pughNode, k core.Key) *pughNode {
 // Get implements core.Set: identical read path to the lazy list.
 func (l *Pugh) Get(c *core.Ctx, k core.Key) (core.Value, bool) {
 	c.EpochEnter()
-	pred := l.search(k)
-	curr := pred.next.Load()
+	_, curr := l.search(k)
 	v, ok := curr.val, curr.key == k && !curr.marked.Load()
 	c.EpochExit()
 	return v, ok
@@ -92,7 +94,8 @@ func (l *Pugh) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 	defer c.EpochExit()
 	restarts := 0
 	for {
-		pred := l.lockPred(c, l.search(k), k)
+		pred, _ := l.search(k)
+		pred = l.lockPred(c, pred, k)
 		if pred == nil {
 			restarts++
 			continue
@@ -127,7 +130,8 @@ func (l *Pugh) Remove(c *core.Ctx, k core.Key) bool {
 	defer c.EpochExit()
 	restarts := 0
 	for {
-		pred := l.lockPred(c, l.search(k), k)
+		pred, _ := l.search(k)
+		pred = l.lockPred(c, pred, k)
 		if pred == nil {
 			restarts++
 			continue
@@ -182,7 +186,7 @@ func (l *Pugh) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Valu
 	c.EpochEnter()
 	defer c.EpochExit()
 	return core.GuardedScan(c, &l.guard, func(emit func(k core.Key, v core.Value)) {
-		curr := l.search(lo).next.Load()
+		_, curr := l.search(lo)
 		for ; curr.key < hi; curr = curr.next.Load() {
 			if !curr.marked.Load() {
 				emit(curr.key, curr.val)
@@ -200,7 +204,7 @@ func (l *Pugh) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.
 	c.EpochEnter()
 	defer c.EpochExit()
 	return core.GuardedPage(c, &l.guard, hi, max, func(emit func(k core.Key, v core.Value) bool) {
-		curr := l.search(pos).next.Load()
+		_, curr := l.search(pos)
 		for ; curr.key < hi; curr = curr.next.Load() {
 			if !curr.marked.Load() && !emit(curr.key, curr.val) {
 				return

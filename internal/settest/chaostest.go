@@ -133,7 +133,6 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 			c.Epoch = dom.Register()
 			defer c.Epoch.Unregister()
 			c.Fault = inj
-			c.CSHook = func() { inj.Delay(fault.CSDelay) }
 			rng := xrand.New(uint64(w)*0x9e3779b97f4a7c15 + 3)
 			check := func(where string, k core.Key, v core.Value) bool {
 				if k == core.PoisonKey || v == core.PoisonValue {
@@ -147,7 +146,7 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 				return true
 			}
 			for i := 0; i < iters; i++ {
-				inj.Delay(fault.OpDelay)
+				inj.BetweenOps()
 				k := core.Key(rng.Int63n(chaosSpan))
 				switch {
 				case scanner != nil && i%32 == 9:
@@ -166,10 +165,12 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 						check("Get", k, v)
 					}
 				case rng.Bool(0.5):
+					inj.OnUpdate()
 					if s.Put(c, k, core.Value(k)) {
 						ledgers[w][k].ins++
 					}
 				default:
+					inj.OnUpdate()
 					if s.Remove(c, k) {
 						ledgers[w][k].rem++
 					}
@@ -210,6 +211,11 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 	// A chaos run that injected nothing proves nothing.
 	if tally.Total() == 0 {
 		t.Fatalf("chaos plan %s fired no faults over %d ops", plan, workers*iters)
+	}
+	// cs.delay is drawn once per update the workers issue, so a plan that
+	// schedules it must have served some inside critical sections.
+	if plan.Enabled(fault.CSDelay) && tally.Count(fault.CSDelay) == 0 {
+		t.Fatalf("chaos plan %s scheduled %s but it never fired (fired: %s)", plan, fault.CSDelay, tally)
 	}
 
 	// Quiesced drain: every advance now succeeds, aging all limbo out of

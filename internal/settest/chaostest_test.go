@@ -26,17 +26,18 @@ func TestChaosTallyDeterministic(t *testing.T) {
 		scanner := s.(core.Scanner)
 		c := core.NewCtx(0)
 		c.Fault = fault.NewInjector(plan, 0, tally)
-		c.CSHook = func() { c.Fault.Delay(fault.CSDelay) }
 		rng := xrand.New(99)
 		for i := 0; i < 2000; i++ {
-			c.Fault.Delay(fault.OpDelay)
+			c.Fault.BetweenOps()
 			k := core.Key(rng.Int63n(chaosSpan))
 			switch {
 			case i%16 == 7:
 				scanner.Scan(c, 0, chaosSpan, func(core.Key, core.Value) bool { return true })
 			case rng.Bool(0.5):
+				c.Fault.OnUpdate()
 				s.Put(c, k, core.Value(k))
 			default:
+				c.Fault.OnUpdate()
 				s.Remove(c, k)
 			}
 		}
