@@ -4,7 +4,10 @@
 // batch/looped pairs compare directly: on a plain ordered list the
 // batch amortizes the head-to-key traversal across sorted keys, on
 // sharded(32) it additionally crosses each shard boundary once per
-// batch instead of once per key, and on a deliberately contended
+// batch instead of once per key, on sharded(32,hashtable/lazy) — O(1)
+// buckets, nothing to amortize but the crossing — the rows locate the
+// batch size where grouping starts to pay (MultiGet loops point gets up
+// to one key per shard), and on a deliberately contended
 // single-shard composite the batch path's flat-combining publication
 // list folds many threads' batches into one lock acquisition — the
 // looped rows are the same contended work without that path, and the
@@ -93,7 +96,7 @@ func runBatchedOps(c *core.Ctx, s core.Set, rng *xrand.Rng, size, n, rounds int,
 // looped rows never do.
 func BenchmarkBatchVsLooped(b *testing.B) {
 	const size = 2048
-	for _, spec := range []string{"list/lazy", "sharded(32,list/lazy)"} {
+	for _, spec := range []string{"list/lazy", "sharded(32,list/lazy)", "sharded(32,hashtable/lazy)"} {
 		for _, n := range []int{8, 64, 512} {
 			for _, mode := range []string{"batch", "looped"} {
 				b.Run(fmt.Sprintf("alg=%s/keys=%d/%s", spec, n, mode), func(b *testing.B) {

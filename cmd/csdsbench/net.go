@@ -241,8 +241,8 @@ func netWorker(c *server.Client, gen *workload.Generator, cfg harness.Config, th
 			th.RecordBatch(n, uint64(time.Since(batchStart)))
 		case workload.OpMultiPut, workload.OpMultiRemove:
 			// Batched updates travel as one pipelined train: n requests,
-			// one flush, n replies — the burst shape the server merges
-			// into a single write-queue entry.
+			// one flush, n replies — the burst shape the server answers
+			// with a single reply write.
 			n := int(gen.BatchLen(rng))
 			batchStart := time.Now()
 			for i := 0; i < n; i++ {

@@ -3,7 +3,9 @@
 // by shard/stripe once, and each destination boundary is crossed once
 // per batch — one routing pass, one shard-map/epoch load, one lock
 // epoch per shard — instead of once per key. Results are buffered and
-// replayed in caller order.
+// replayed in caller order. Sharded reads skip grouping when the batch
+// is sparse (see Sharded.MultiGet): with about one key per shard there
+// is nothing to amortize.
 package combinator
 
 import (
@@ -61,12 +63,25 @@ func (s *Sharded) partOfKey(k core.Key) int {
 	return indexOf(mix64(uint64(k)), len(s.shards))
 }
 
-// MultiGet implements core.Batcher: the batch is grouped by shard and
-// each shard serves its sub-batch through one inner MultiGet — one
-// shard crossing per shard per batch. Results replay in caller order.
+// MultiGet implements core.Batcher. A sparse batch — no more keys than
+// shards, so at most one key per shard on average and no traversal or
+// bracket to share — loops point gets inside one epoch bracket and
+// reports each result as it lands: grouping it would cost more than the
+// gets it merges. A denser batch is grouped by shard and each shard
+// serves its sub-batch through one inner MultiGet — one shard crossing
+// per shard per batch. Results replay in caller order either way.
 func (s *Sharded) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
 	n := len(keys)
 	if n == 0 {
+		return
+	}
+	if n <= len(s.shards) {
+		c.EpochEnter()
+		defer c.EpochExit()
+		for i, k := range keys {
+			v, ok := s.shard(k).Get(c, k)
+			f(i, v, ok)
+		}
 		return
 	}
 	if len(s.shards) == 1 {

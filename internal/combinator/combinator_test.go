@@ -124,7 +124,9 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 
 // TestCompositeBatchers runs the batched-operation battery over every
 // combinator: shard-grouped sub-batches (sharded, including the
-// single-shard flat-combining path), per-stripe grouping (striped),
+// single-shard flat-combining path), sparse reads looped as point gets
+// (sharded(32,...): csdsd's default spec, where a batch of at most 32
+// keys skips grouping), per-stripe grouping (striped),
 // probe-then-forward (readcache), epoch- and gate-disciplined grouping
 // (elastic), and nesting. sharded(1,...) maximizes the single-shard
 // combine path's exposure.
@@ -133,6 +135,7 @@ func TestCompositeBatchers(t *testing.T) {
 		"sharded(16,list/lazy)",
 		"sharded(1,list/lazy)",
 		"sharded(4,hashtable/lazy)",
+		"sharded(32,hashtable/lazy)",
 		"striped(8,skiplist/herlihy)",
 		"readcache(1024,bst/tk)",
 		"readcache(64,sharded(4,hashtable/lazy))",

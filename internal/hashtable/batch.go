@@ -2,10 +2,15 @@
 // application. Hash routing destroys key order, every point operation
 // is O(1) in the bucket, and adjacent sorted keys land in unrelated
 // buckets — so a loop of point ops IS the optimal batch plan here and
-// sorting would only add work. The batch layer above (sharded/elastic
-// grouping, flat combining) is where hashed structures get their
-// amortization. Each Multi* opens one epoch bracket for the whole batch
-// (brackets nest), amortizing the per-op epoch announcement.
+// sorting would only add work. The same holds one layer up: grouping a
+// read batch by shard costs more than it saves until the batch is far
+// denser than one key per shard (BenchmarkBatchVsLooped's
+// sharded(32,hashtable/lazy) rows), which is why sharded reads of at
+// most one key per shard loop point gets too. What hashed structures
+// do gain from batching is the epoch bracket: each Multi* opens one
+// for the whole batch (brackets nest), amortizing the per-op epoch
+// announcement, and contended single-shard write batches ride the
+// shard's flat-combining point.
 package hashtable
 
 import "csds/internal/core"

@@ -36,7 +36,11 @@ import (
 //  3. Winner provenance. A marked box names the descriptor on whose behalf
 //     it was installed (src). Deletion credit and insert-poisoning are
 //     therefore decided by a single CAS, and helpers translate the
-//     evidence into descriptor outcomes idempotently.
+//     evidence into descriptor outcomes idempotently. An unmarked box
+//     carries the number of the insert round that last forced it, and
+//     snips and links through the node keep that number, so a helper can
+//     tell "my round already set this node's successor" from "nobody has
+//     yet" even after the node is linked and its successor changed.
 type WaitFree struct {
 	head     *wfNode
 	maxPhase atomic.Uint64
@@ -51,7 +55,8 @@ const wfMaxThreads = 256
 type wfLink struct {
 	next   *wfNode
 	marked bool
-	src    *wfDesc // which descriptor installed the mark (or forced next)
+	src    *wfDesc // marked: which descriptor installed the mark
+	round  uint64  // unmarked: the insert round that last forced next
 }
 
 type wfNode struct {
@@ -90,6 +95,7 @@ type wfDesc struct {
 	node   *wfNode   // insert: the node being inserted
 	victim *wfNode   // remove: the chosen target
 	win    *wfWindow // insert: the installed bracket
+	round  uint64    // insert: bumped by every bracket installation
 	status int
 }
 
@@ -128,7 +134,7 @@ retry:
 		for {
 			currLink := curr.link.Load()
 			for currLink.marked {
-				snip := &wfLink{next: currLink.next}
+				snip := &wfLink{next: currLink.next, round: predLink.round}
 				if !pred.link.CompareAndSwap(predLink, snip) {
 					continue retry
 				}
@@ -217,9 +223,18 @@ func (l *WaitFree) reSearch(tid int, d *wfDesc) {
 }
 
 func (l *WaitFree) helpInsert(c *core.Ctx, tid int, d *wfDesc) {
-	for l.state[tid].Load() == d {
+	for {
 		n := d.node
 		nl := n.link.Load()
+		// Check that d still owns the slot AFTER loading the node's link.
+		// Every later descriptor for n forces n's link to a fresh box before
+		// linking it, so either that force happened before this load and
+		// the slot has already moved on, or it happens after and every CAS
+		// below on nl fails. Checking before the load instead lets a stale
+		// helper re-point an already linked n at its old window's successor.
+		if l.state[tid].Load() != d {
+			return
+		}
 		if nl.marked {
 			// The node's fate is already decided and recorded in its link.
 			if nl.src == poisonDesc {
@@ -249,22 +264,25 @@ func (l *WaitFree) helpInsert(c *core.Ctx, tid int, d *wfDesc) {
 			nd := *d
 			nd.status = wfExecute
 			nd.win = &wfWindow{pred: pred, predLink: predLink, curr: curr}
+			nd.round = d.round + 1
 			l.state[tid].CompareAndSwap(d, &nd)
 			return // caller reloads the new descriptor
 		}
 		// wfExecute: link through the installed window.
 		w := d.win
-		if nl.next != w.curr || nl.src != d {
-			// Force the node's link to the window's successor, with
-			// provenance, so stale writes can be detected by box identity.
-			if !n.link.CompareAndSwap(nl, &wfLink{next: w.curr, src: d}) {
+		if nl.round != d.round {
+			// Force the node's link to the window's successor, tagged with
+			// the round, so stale writes can be detected by box identity.
+			// Once this round has forced it, never again: a node linked by
+			// a sibling helper may already have a newer successor.
+			if !n.link.CompareAndSwap(nl, &wfLink{next: w.curr, round: d.round}) {
 				continue
 			}
 		}
 		// Membership CAS: whoever executes it (owner or helper) opens the
 		// scan-guard window so concurrent optimistic scans detect it.
 		l.guard.BeginWrite(c.Stat())
-		linked := w.pred.link.CompareAndSwap(w.predLink, &wfLink{next: n})
+		linked := w.pred.link.CompareAndSwap(w.predLink, &wfLink{next: n, round: w.predLink.round})
 		l.guard.EndWrite()
 		if linked {
 			l.finish(tid, d, wfSuccess)

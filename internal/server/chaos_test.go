@@ -7,6 +7,7 @@ package server
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,6 +75,43 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if got := pollStats(t, addr, "evictions", func(v uint64) bool { return v >= 1 }); got < 1 {
 		t.Fatalf("evictions = %d, want >= 1", got)
+	}
+}
+
+// TestIdleEvictionStalledReader: a client that pipelines requests but
+// never reads its replies stalls the session in its reply write once
+// the socket buffers fill. The write deadline must evict it (counted
+// like an idle read), and the stalled connection must not hold up
+// drain.
+func TestIdleEvictionStalledReader(t *testing.T) {
+	_, addr, shutdown := startServer(t, Config{
+		Spec: "sharded(4,hashtable/lazy)", Size: 256, IdleTimeout: 80 * time.Millisecond,
+	})
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// A small receive window makes the server's replies back up sooner.
+	if err := nc.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	burst := []byte(strings.Repeat("version\r\n", 4096))
+	go func() {
+		// Never reads; exits once the eviction breaks the connection.
+		for {
+			if _, err := nc.Write(burst); err != nil {
+				return
+			}
+		}
+	}()
+
+	if got := pollStats(t, addr, "evictions", func(v uint64) bool { return v >= 1 }); got < 1 {
+		t.Fatalf("evictions = %d, want >= 1", got)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown with a stalled reader: %v", err)
 	}
 }
 

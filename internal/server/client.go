@@ -337,7 +337,8 @@ func (c *Client) readValuesCursor(f func(k core.Key, v core.Value)) (token strin
 		case bytes.Equal(line, []byte("END")):
 			return token, done, nil
 		case bytes.HasPrefix(line, []byte("VALUE ")):
-			fields, _ := splitFields(line[len("VALUE "):], 4)
+			var fb [4][]byte
+			fields, _ := splitFields(line[len("VALUE "):], fb[:])
 			if len(fields) < 3 {
 				return "", false, fmt.Errorf("server: malformed VALUE line %q", line)
 			}
@@ -356,7 +357,8 @@ func (c *Client) readValuesCursor(f func(k core.Key, v core.Value)) (token strin
 			}
 			f(core.Key(k), core.Value(v))
 		case bytes.HasPrefix(line, []byte("CURSOR ")):
-			fields, _ := splitFields(line[len("CURSOR "):], 2)
+			var fb [2][]byte
+			fields, _ := splitFields(line[len("CURSOR "):], fb[:])
 			if len(fields) != 2 {
 				return "", false, fmt.Errorf("server: malformed CURSOR line %q", line)
 			}
@@ -559,7 +561,8 @@ func (c *Client) statsOnce() (map[string]uint64, error) {
 		if bytes.Equal(line, []byte("END")) {
 			return m, nil
 		}
-		fields, _ := splitFields(line, 3)
+		var fb [3][]byte
+		fields, _ := splitFields(line, fb[:])
 		if len(fields) != 3 || string(fields[0]) != "STAT" {
 			if isErrorLine(line) {
 				return nil, errorLine(line)

@@ -3,7 +3,9 @@
 // connections stall before I/O, torn connections deliver a prefix of a
 // write and die, dropped connections die outright. Deadlines, addresses
 // and Close delegate to the real conn, so drain interrupts and idle
-// eviction work unchanged on a faulted connection.
+// eviction work unchanged on a faulted connection. One goroutine owns
+// the injector: the connection's session does every read and write
+// itself, so the injector's unsynchronized schedule state needs no lock.
 package server
 
 import (

@@ -53,9 +53,9 @@ func FuzzWireProtocol(f *testing.F) {
 }
 
 // fuzzSession runs one connection worth of input through the real
-// session loop, with the socket replaced by a byte reader and the write
-// queue draining into out — the same machinery serveConn wires up, minus
-// the network.
+// session loop, with the socket replaced by a byte reader and the
+// session writing its replies into out — the same machinery serveConn
+// wires up, minus the network.
 func fuzzSession(srv *Server, in []byte, out io.Writer) {
 	th := &stats.Thread{}
 	ctx := &core.Ctx{ID: 1, Rng: xrand.New(1), Stats: th}
@@ -63,13 +63,11 @@ func fuzzSession(srv *Server, in []byte, out io.Writer) {
 		ctx.Epoch = srv.dom.Register()
 		defer ctx.Epoch.Unregister()
 	}
-	q := newWriteQueue(out, 4)
-	defer q.Close()
 	sess := &session{
 		srv:  srv,
 		ctx:  ctx,
 		br:   bufio.NewReaderSize(bytes.NewReader(in), maxLineLen),
-		q:    q,
+		w:    out,
 		reqs: make([]Request, srv.cfg.MaxBurst),
 	}
 	sess.run()
@@ -94,7 +92,8 @@ func checkResponseShape(t *testing.T, out []byte) {
 		line = line[:len(line)-1]
 		switch {
 		case bytes.HasPrefix(line, []byte("VALUE ")):
-			fields, bad := splitFields(line[len("VALUE "):], 4)
+			var fb [4][]byte
+			fields, bad := splitFields(line[len("VALUE "):], fb[:])
 			if bad || len(fields) < 3 {
 				t.Fatalf("malformed VALUE line: %q", line)
 			}
@@ -108,7 +107,8 @@ func checkResponseShape(t *testing.T, out []byte) {
 			}
 			out = out[2:]
 		case bytes.HasPrefix(line, []byte("CURSOR ")):
-			fields, bad := splitFields(line[len("CURSOR "):], 2)
+			var fb [2][]byte
+			fields, bad := splitFields(line[len("CURSOR "):], fb[:])
 			if bad || len(fields) != 2 {
 				t.Fatalf("malformed CURSOR line: %q", line)
 			}

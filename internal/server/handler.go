@@ -31,10 +31,10 @@ const maxMergedKeys = 1024
 // execBurst runs a parsed pipeline burst in request order, appending
 // every response to buf. Consecutive get-class requests are merged into
 // a single core.Batcher MultiGet — the pipeline-to-batch promotion that
-// lets a deep burst pay one batch bracket (and ride the shard
-// flat-combining path) instead of one synchronization episode per key.
-// It returns the grown buffer and whether the connection must close
-// after the buffer is flushed (quit or a fatal protocol error).
+// lets a deep burst pay one batch bracket instead of one
+// synchronization episode per key. It returns the grown buffer and
+// whether the connection must close after the buffer is written (quit
+// or a fatal protocol error).
 func (s *session) execBurst(reqs []Request, buf []byte) (_ []byte, closeAfter bool) {
 	// Degraded mode is sampled once per burst: under saturation the
 	// read paths serve hits but skip cache fills and admission work.
@@ -44,7 +44,8 @@ func (s *session) execBurst(reqs []Request, buf []byte) (_ []byte, closeAfter bo
 		// The injected panic lands between requests of a burst — after
 		// some responses are already rendered and possibly mid-pipeline —
 		// which is exactly the shape serveConn's recovery contract must
-		// absorb (unregister the EBR record, flush what was produced).
+		// absorb (unregister the EBR record; the half-rendered reply of
+		// the dying burst is dropped, earlier bursts' were written).
 		if s.inj.Fire(fault.HandlerPanic) {
 			panic("fault: injected handler panic")
 		}

@@ -8,14 +8,16 @@
 //	            malformed, truncated or oversized input is a protocol
 //	            error (or a fatal framing loss), never a panic;
 //	handler.go  request execution against a core.Set: pipelined get
-//	            bursts ride one core.Batcher MultiGet (and with it the
-//	            shard flat-combining path), range/page stream ordered
-//	            pages and return the opaque resumable cursor token;
-//	server.go   connection machinery: bounded per-connection write
-//	            queues (backpressure), a global in-flight limit that
-//	            sheds load with SERVER_ERROR busy, and graceful drain
-//	            that flushes in-flight responses, unregisters every
-//	            connection's EBR record and quiesces the domain.
+//	            bursts ride one core.Batcher MultiGet, range/page
+//	            stream ordered pages and return the opaque resumable
+//	            cursor token;
+//	server.go   connection machinery: one session goroutine per
+//	            connection that writes its own replies (the socket
+//	            buffer is the backpressure), idle read/write deadlines,
+//	            a global in-flight limit that sheds load with
+//	            SERVER_ERROR busy, and graceful drain that finishes
+//	            in-flight replies, unregisters every connection's EBR
+//	            record and quiesces the domain.
 //
 // The dialect: keys and values are the module's 64-bit integers, written
 // in decimal (the paper's workloads; larger payloads are "a pointer",
@@ -122,7 +124,8 @@ func fatalErrf(format string, args ...any) *ProtoError {
 // malformed operand, oversized frame, bad data chunk — is reported as
 // req.Op == OpError with req.Err set, so the caller answers it in
 // request order like any other request. br must have been created with a
-// buffer of at least maxLineLen bytes.
+// buffer of at least maxLineLen bytes. A well-formed request parses
+// without allocating, except a page request's token string.
 func ReadRequest(br *bufio.Reader, req *Request) error {
 	req.Op = OpError
 	req.Keys = req.Keys[:0]
@@ -145,6 +148,7 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 		return err
 	}
 	line = trimCRLF(line)
+	var fieldBuf [5][]byte // splitFields' storage: no allocation per request
 	cmd, rest := nextField(line)
 	if len(cmd) == 0 {
 		req.Err = &ProtoError{Line: "ERROR"}
@@ -180,7 +184,7 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 
 	case "set", "add":
 		// set <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-		fields, bad := splitFields(rest, 5)
+		fields, bad := splitFields(rest, fieldBuf[:5])
 		if bad || len(fields) < 4 {
 			req.Err = protoErrf("bad %s line: want <key> <flags> <exptime> <bytes> [noreply]", cmd)
 			return nil
@@ -204,13 +208,21 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 			req.Err = fatalErrf("data block of %d bytes exceeds %d", n, maxDataLen)
 			return nil
 		}
-		data := make([]byte, n+2)
-		if _, err := io.ReadFull(br, data); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
+		// Byte-wise through the concrete reader, so the block stays on the
+		// stack (io.ReadFull's io.Reader parameter would move it to the
+		// heap) and UnreadByte below can push back the last byte.
+		var block [maxDataLen + 2]byte
+		data := block[:n+2]
+		for i := range data {
+			b, err := br.ReadByte()
+			if err == io.EOF {
 				req.Err = fatalErrf("truncated data block")
 				return nil
 			}
-			return err
+			if err != nil {
+				return err
+			}
+			data[i] = b
 		}
 		term := data[n:]
 		if !(term[0] == '\r' && term[1] == '\n') && !(term[0] == '\n') {
@@ -246,7 +258,7 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 		return nil
 
 	case "delete":
-		fields, bad := splitFields(rest, 2)
+		fields, bad := splitFields(rest, fieldBuf[:2])
 		if bad || len(fields) < 1 {
 			req.Err = protoErrf("bad delete line: want <key> [noreply]")
 			return nil
@@ -269,7 +281,7 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 
 	case "range":
 		// range <lo> <hi> <max>: first page of the window [lo, hi).
-		fields, bad := splitFields(rest, 3)
+		fields, bad := splitFields(rest, fieldBuf[:3])
 		if bad || len(fields) != 3 {
 			req.Err = protoErrf("bad range line: want <lo> <hi> <max>")
 			return nil
@@ -291,7 +303,7 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 
 	case "page":
 		// page <token> <max>: resume from an opaque cursor token.
-		fields, bad := splitFields(rest, 2)
+		fields, bad := splitFields(rest, fieldBuf[:2])
 		if bad || len(fields) != 2 {
 			req.Err = protoErrf("bad page line: want <token> <max>")
 			return nil
@@ -348,20 +360,21 @@ func nextField(b []byte) (field, rest []byte) {
 	return b[i:j], b[j:]
 }
 
-// splitFields splits b into at most max space-separated fields; bad
-// reports leftover fields beyond max (a malformed line, not a truncation
-// point).
-func splitFields(b []byte, max int) (fields [][]byte, bad bool) {
-	for len(fields) < max {
+// splitFields splits b into at most len(dst) space-separated fields,
+// stored in dst (caller-owned, so parsing allocates nothing) and
+// returned as dst's filled prefix; bad reports leftover fields beyond
+// len(dst) (a malformed line, not a truncation point).
+func splitFields(b []byte, dst [][]byte) (fields [][]byte, bad bool) {
+	for n := range dst {
 		f, r := nextField(b)
 		if len(f) == 0 {
-			return fields, false
+			return dst[:n], false
 		}
-		fields = append(fields, f)
+		dst[n] = f
 		b = r
 	}
 	f, _ := nextField(b)
-	return fields, len(f) != 0
+	return dst, len(f) != 0
 }
 
 // parseInt parses a decimal int64 without allocating. It rejects empty

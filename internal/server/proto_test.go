@@ -193,6 +193,38 @@ func TestReadRequestReusesKeys(t *testing.T) {
 	}
 }
 
+// TestReadRequestAllocs pins the parser's allocation budget: every
+// request class parses without allocating, except page, whose token
+// operand becomes a string.
+func TestReadRequestAllocs(t *testing.T) {
+	const runs = 100
+	tok := core.CursorToken{Lo: 1, Hi: 100, Pos: 10}.Encode()
+	for _, c := range []struct {
+		line string
+		op   Op
+		max  float64
+	}{
+		{"get 1 2 3\r\n", OpGet, 0},
+		{"set 42 0 0 3\r\n420\r\n", OpSet, 0},
+		{"set 42 0 0 3 noreply\r\n420\r\n", OpSet, 0},
+		{"delete 42\r\n", OpDelete, 0},
+		{"range 0 100 16\r\n", OpRange, 0},
+		{"page " + tok + " 16\r\n", OpPage, 1},
+	} {
+		// One copy per run plus AllocsPerRun's warm-up call.
+		br := bufio.NewReaderSize(strings.NewReader(strings.Repeat(c.line, runs+1)), maxLineLen)
+		var req Request
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := ReadRequest(br, &req); err != nil || req.Op != c.op {
+				t.Fatalf("ReadRequest(%q) = op %v, err %v, proto %v", c.line, req.Op, err, req.Err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("ReadRequest(%q): %.1f allocs per request, want <= %.0f", c.line, allocs, c.max)
+		}
+	}
+}
+
 // TestParseKeyRoundTrip: every key the client writer emits parses back.
 func TestParseKeyRoundTrip(t *testing.T) {
 	var bw bytes.Buffer

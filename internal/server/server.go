@@ -1,7 +1,7 @@
 // Connection machinery: the Server owns one structure instance built
-// from a composite spec, an accept loop, per-connection worker
-// goroutines with bounded write queues, a global in-flight limit, and
-// the graceful drain protocol.
+// from a composite spec, an accept loop, one session goroutine per
+// connection that reads, executes and writes its own replies, a global
+// in-flight limit, and the graceful drain protocol.
 package server
 
 import (
@@ -40,18 +40,21 @@ type Config struct {
 	// connections; excess load is shed with SERVER_ERROR busy instead of
 	// queueing without bound. 0 defaults to 128; negative means no limit.
 	MaxInflight int
-	// WriteQueue bounds each connection's queued response buffers; a
-	// full queue blocks that connection's read loop (backpressure to the
-	// socket) instead of buffering without bound. 0 defaults to 32.
+	// WriteQueue is ignored: each session writes its replies itself,
+	// and the kernel socket buffer is the backpressure queue.
+	//
+	// Deprecated: ignored.
 	WriteQueue int
 	// MaxBurst bounds how many pipelined requests one read-loop turn
 	// parses and answers with a single write; get runs inside a burst
 	// merge into one MultiGet. 0 defaults to 64.
 	MaxBurst int
-	// IdleTimeout, when positive, arms a per-connection read deadline
-	// outside drain: a client idle (or too slow to make read progress)
-	// past it is evicted and counted in the stats as an eviction, so a
-	// stalled peer cannot pin a worker goroutine forever. 0 disables.
+	// IdleTimeout, when positive, arms a per-connection deadline before
+	// each blocking read (outside drain) and each reply write: a client
+	// idle (or too slow to make read or write progress) past it is
+	// evicted and counted in the stats as an eviction, so a stalled peer
+	// — one that never sends, or pipelines without ever reading — cannot
+	// pin a session goroutine or block drain forever. 0 disables.
 	IdleTimeout time.Duration
 	// WatchdogTick, when positive with UseEBR, runs the self-watchdog:
 	// every tick it nudges the epoch and samples the reclamation
@@ -77,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 128
 	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 32
-	}
 	if c.MaxBurst <= 0 {
 		c.MaxBurst = 64
 	}
@@ -96,7 +96,7 @@ type Audit struct {
 	MaxWaitNs     uint64 // worst single lock wait
 	Shed          uint64 // requests answered SERVER_ERROR busy
 	Inflight      uint64 // requests executing right now (gauge, not a counter)
-	Evictions     uint64 // connections evicted by the idle read deadline
+	Evictions     uint64 // connections evicted by the idle read or write deadline
 	WatchdogFires uint64 // wedged EBR records expelled by the watchdog
 	CombineStalls uint64 // flat-combining waits that exceeded the stall bound
 	Faults        uint64 // injected faults fired server-side (0 without a plan)
@@ -323,31 +323,31 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // session is one connection's execution state: the per-worker context
 // (own RNG stream, stats slot, EBR record), the parsed-request burst
-// buffer, and the merged-batch scratch. It reads from br and enqueues
-// response buffers on q; it never touches the socket directly, which is
-// what lets the fuzzer and the protocol tests drive it over byte
-// readers.
+// buffer, the merged-batch scratch and the reply buffer reused across
+// bursts. It reads from br and writes each burst's reply to w itself;
+// it sets deadlines only through nc, which is what lets the fuzzer and
+// the protocol tests drive it over byte readers and writers.
 type session struct {
 	srv        *Server
 	ctx        *core.Ctx
 	br         *bufio.Reader
-	q          *writeQueue
+	w          io.Writer
 	nc         net.Conn        // nil when driven over plain readers (tests, fuzzer)
 	inj        *fault.Injector // nil without a fault plan; methods are nil-safe
 	reqs       []Request
+	out        []byte
 	keyScratch []core.Key
 	valScratch []core.Value
 	okScratch  []bool
 }
 
 // serveConn runs one connection to completion. The deferred block is
-// the robustness contract of the satellite bugfix: whatever happens in
-// the handler — a clean quit, a protocol error, an io error, or a panic
-// — the EBR record is unregistered (mid-bracket included; Unregister
-// force-exits the bracket) so a dying worker can never wedge epoch
-// advancement for the whole domain, the write queue is flushed so every
-// response already produced still reaches the client, and the worker's
-// metrics fold into the audit aggregate.
+// the robustness contract: whatever happens in the handler — a clean
+// quit, a protocol error, an io error, or a panic — the EBR record is
+// unregistered (mid-bracket included; Unregister force-exits the
+// bracket) so a dying worker can never wedge epoch advancement for the
+// whole domain, and the worker's metrics fold into the audit aggregate.
+// Every reply a finished burst produced was already written inline.
 func (s *Server) serveConn(nc net.Conn) {
 	th := &stats.Thread{}
 	id := s.nextID.Add(1)
@@ -367,7 +367,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.cfg.Fault.Enabled(fault.ConnTorn) || s.cfg.Fault.Enabled(fault.ConnDrop)) {
 		rw = &faultConn{Conn: nc, inj: inj}
 	}
-	q := newWriteQueue(rw, s.cfg.WriteQueue)
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("server: panic in connection handler: %v", r)
@@ -375,7 +374,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		if ctx.Epoch != nil {
 			ctx.Epoch.Unregister()
 		}
-		q.Close() // flush everything enqueued, then stop the writer
 		nc.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
@@ -387,20 +385,22 @@ func (s *Server) serveConn(nc net.Conn) {
 		srv:  s,
 		ctx:  ctx,
 		br:   bufio.NewReaderSize(rw, maxLineLen),
-		q:    q,
+		w:    rw,
 		nc:   nc,
 		inj:  inj,
 		reqs: make([]Request, s.cfg.MaxBurst),
+		out:  make([]byte, 0, 2048),
 	}
 	sess.run()
 }
 
 // run is the read/execute/write loop: block on one request, opportunistically
 // drain the rest of the pipeline burst that is already buffered, execute
-// the burst, enqueue one response buffer. Bounded on every axis — burst
-// length, merged keys, queue depth — so a fast pipelining client is
-// amortized and a slow reading client is back-pressured, never buffered
-// without limit.
+// the burst, write its reply. Bounded on every axis — burst length,
+// merged keys, one reply in hand — so a fast pipelining client is
+// amortized and a slow reading client is back-pressured through its own
+// socket buffer (the session blocks in write and stops reading), never
+// buffered without limit.
 func (s *session) run() {
 	for {
 		if s.srv.draining.Load() {
@@ -408,9 +408,7 @@ func (s *session) run() {
 		}
 		if s.nc != nil && s.srv.cfg.IdleTimeout > 0 {
 			// Armed per blocking read, cleared implicitly by the next arm:
-			// a client that neither sends a request nor drains its
-			// responses (the write queue backpressures into this read
-			// staying blocked) within the window is evicted.
+			// a client that sends no request within the window is evicted.
 			s.nc.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
 		}
 		if err := ReadRequest(s.br, &s.reqs[0]); err != nil {
@@ -434,16 +432,36 @@ func (s *session) run() {
 			}
 			n++
 		}
-		buf, closeAfter := s.execBurst(s.reqs[:n], getBuf())
-		if len(buf) > 0 {
-			s.q.Enqueue(buf) // blocks when the queue is full: backpressure
-		} else {
-			putBuf(buf)
+		buf, closeAfter := s.execBurst(s.reqs[:n], s.out[:0])
+		s.out = buf
+		if len(buf) > 0 && !s.write(buf) {
+			return
 		}
 		if closeAfter {
 			return
 		}
 	}
+}
+
+// write sends one burst's reply, blocking while the socket buffer is
+// full — that is the backpressure. A failed write ends the session: the
+// peer is gone, or (with IdleTimeout) it stopped reading its replies
+// for a whole window and is evicted.
+func (s *session) write(buf []byte) bool {
+	if s.nc != nil && s.srv.cfg.IdleTimeout > 0 {
+		s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
+	}
+	if _, err := s.w.Write(buf); err != nil {
+		// Drain never arms write deadlines, so a timeout here is always
+		// the idle window.
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			s.srv.audit.evictions.Add(1)
+			s.srv.logf("server: evicting stalled connection (no write progress in %v)", s.srv.cfg.IdleTimeout)
+		}
+		return false
+	}
+	return true
 }
 
 // fullRequestBuffered reports whether at least one complete command line
@@ -513,8 +531,8 @@ func (s *Server) Audit() Audit { return s.auditSnapshot() }
 
 // Shutdown gracefully drains the server: stop accepting, interrupt every
 // connection's blocked read (in-flight bursts still execute and their
-// responses still flush — the write queues close only after their
-// connection's loop exits), wait for all workers, then quiesce the
+// replies are still written — drain never touches write deadlines),
+// wait for all workers, then quiesce the
 // reclamation domain so every retired node is reclaimed. It returns
 // ctx's error if the drain outlives it, and an error if the domain
 // cannot quiesce.
@@ -560,47 +578,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return nil
 }
-
-// writeQueue is the bounded per-connection response pipe: the read loop
-// enqueues finished response buffers, a dedicated writer goroutine
-// drains them to the socket. A full queue blocks Enqueue — that stalls
-// the connection's read loop, which stops consuming the socket, which
-// backpressures the client through TCP; memory per connection stays
-// bounded by depth × buffer. Close flushes everything already enqueued
-// before the writer exits, so a drain never drops a produced response.
-type writeQueue struct {
-	ch   chan []byte
-	done chan struct{}
-}
-
-func newWriteQueue(w io.Writer, depth int) *writeQueue {
-	q := &writeQueue{ch: make(chan []byte, depth), done: make(chan struct{})}
-	go func() {
-		defer close(q.done)
-		for buf := range q.ch {
-			if w != nil {
-				if _, err := w.Write(buf); err != nil {
-					w = nil // peer gone: keep draining so Enqueue never sticks
-				}
-			}
-			putBuf(buf)
-		}
-	}()
-	return q
-}
-
-// Enqueue hands one response buffer to the writer (ownership moves; the
-// writer returns it to the pool).
-func (q *writeQueue) Enqueue(buf []byte) { q.ch <- buf }
-
-// Close stops the writer after the queued responses are written.
-func (q *writeQueue) Close() {
-	close(q.ch)
-	<-q.done
-}
-
-// bufPool recycles response buffers across bursts and connections.
-var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 2048) }}
-
-func getBuf() []byte  { return bufPool.Get().([]byte)[:0] }
-func putBuf(b []byte) { bufPool.Put(b[:0]) }

@@ -270,49 +270,6 @@ func TestGracefulDrainFlushesInflight(t *testing.T) {
 	}
 }
 
-// TestWriteQueueFlushOnClose pins the no-lost-responses half of the
-// drain contract at its enforcement point: every buffer enqueued before
-// Close must be written, in order, before the writer exits — a draining
-// connection closes its queue only after the read loop stops, so any
-// response the handler produced still reaches the socket.
-func TestWriteQueueFlushOnClose(t *testing.T) {
-	var out slowWriter
-	q := newWriteQueue(&out, 4)
-	const n = 100
-	want := 0
-	for i := 0; i < n; i++ {
-		buf := getBuf()
-		buf = append(buf, byte('a'+i%26))
-		want++
-		q.Enqueue(buf)
-	}
-	q.Close() // must block until all n buffers are written
-	if got := out.Len(); got != want {
-		t.Fatalf("writer flushed %d bytes, want %d", got, want)
-	}
-}
-
-// slowWriter makes every write yield so Close genuinely races the
-// writer goroutine rather than finding an already-empty queue.
-type slowWriter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (w *slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(100 * time.Microsecond)
-	w.mu.Lock()
-	w.n += len(p)
-	w.mu.Unlock()
-	return len(p), nil
-}
-
-func (w *slowWriter) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
 // TestBusyShedding: with the in-flight limit saturated, requests answer
 // SERVER_ERROR busy instead of queueing, and the audit counts the sheds.
 func TestBusyShedding(t *testing.T) {

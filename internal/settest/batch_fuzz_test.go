@@ -15,10 +15,11 @@ import (
 // fuzzBatchSpecs covers one bespoke leaf per strategy plus the grouped
 // composites whose partition arithmetic the fuzzer stresses hardest.
 var fuzzBatchSpecs = []string{
-	"list/lazy",               // guard-bracket traversal with resume
-	"list/harris",             // lock-free reads resumed, sorted writes
-	"sharded(4,list/lazy)",    // shard grouping + flat-combining wiring
-	"readcache(64,list/lazy)", // probe pass + miss sub-batch
+	"list/lazy",                  // guard-bracket traversal with resume
+	"list/harris",                // lock-free reads resumed, sorted writes
+	"sharded(4,list/lazy)",       // shard grouping + flat-combining wiring
+	"sharded(32,hashtable/lazy)", // sparse reads: every fuzzed batch loops point gets
+	"readcache(64,list/lazy)",    // probe pass + miss sub-batch
 }
 
 // decodeBatches turns fuzz bytes into a batch program: each batch is a

@@ -12,8 +12,9 @@ import (
 
 	"csds/internal/core"
 
-	// Populate the registries for the RunSpec test.
+	// Populate the registries for the RunSpec and batch-fuzz tests.
 	_ "csds/internal/combinator"
+	_ "csds/internal/hashtable"
 	_ "csds/internal/list"
 )
 
