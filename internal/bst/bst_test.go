@@ -1,6 +1,8 @@
 package bst
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,53 +11,57 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestTK(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+func tk(o core.Options) core.Set    { return NewTK(o) }
+func inner(o core.Options) core.Set { return NewInternal(o) }
 
-func TestTKElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+// The per-algorithm arms of settest's matrix, one test per arm.
+func TestTK(t *testing.T)             { settest.RunAll(t, tk, settest.Point) }
+func TestTKElided(t *testing.T)       { settest.RunAll(t, tk, settest.Elided) }
+func TestTKEBR(t *testing.T)          { settest.RunAll(t, tk, settest.EBR) }
+func TestTKPoison(t *testing.T)       { settest.RunAll(t, tk, settest.Poison) }
+func TestTKChaos(t *testing.T)        { settest.RunAll(t, tk, settest.Chaos) }
+func TestInternal(t *testing.T)       { settest.RunAll(t, inner, settest.Point) }
+func TestInternalElided(t *testing.T) { settest.RunAll(t, inner, settest.Elided) }
+func TestInternalEBR(t *testing.T)    { settest.RunAll(t, inner, settest.EBR) }
+func TestInternalChaos(t *testing.T)  { settest.RunAll(t, inner, settest.Chaos) }
 
-func TestTKEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+// TestInternalPoison: the internal BST deletes logically and never
+// retires — the battery degenerates to a read-consistency check plus a
+// trivially empty drain, which is exactly the documented contract.
+func TestInternalPoison(t *testing.T) { settest.RunAll(t, inner, settest.Poison) }
 
-func TestInternal(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewInternal(o) })
-}
+// wired names, in registry order, the bsts with per-algorithm tests
+// above.
+var wired = []string{"bst/internal", "bst/tk"}
 
-// TestScanners runs the linearizable range-scan battery on both trees;
-// BSTs scan in key order.
-func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+// TestEveryAlgorithmWired fails until every registered bst is named
+// in wired with its per-algorithm tests, so a new algorithm cannot ship
+// without the whole matrix.
+func TestEveryAlgorithmWired(t *testing.T) {
+	var registered []string
+	for _, info := range core.ByKind("bst") {
+		registered = append(registered, info.Name)
+	}
+	if !slices.Equal(registered, wired) {
+		t.Fatalf("registered bsts %v, per-algorithm tests for %v", registered, wired)
 	}
 }
 
-// TestCursors runs the paginated-iteration battery on both trees.
-func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+// eachAlg runs the batteries b on every registered bst, one subtest per
+// algorithm named without its kind prefix.
+func eachAlg(t *testing.T, b settest.Battery) {
+	for _, info := range core.ByKind("bst") {
+		t.Run(strings.TrimPrefix(info.Name, "bst/"), func(t *testing.T) { settest.RunAll(t, info.New, b) })
 	}
 }
 
-// TestBatchers runs the batched-operation battery on both trees (sorted
-// point application: logarithmic descents with path-prefix locality).
-func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
-	}
-}
+// The capability arms loop the registry; BSTs scan in key order, and
+// batches apply as sorted point operations (logarithmic descents with
+// path-prefix locality).
+func TestScanners(t *testing.T)       { eachAlg(t, settest.Scan) }
+func TestCursors(t *testing.T)        { eachAlg(t, settest.Cursor) }
+func TestCursorPageCost(t *testing.T) { eachAlg(t, settest.PageCost) }
+func TestBatchers(t *testing.T)       { eachAlg(t, settest.Batch) }
 
 func TestFeaturedIsTK(t *testing.T) {
 	info, ok := core.Featured("bst")

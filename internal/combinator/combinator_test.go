@@ -1,6 +1,7 @@
 package combinator
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,220 +18,127 @@ import (
 	_ "csds/internal/skiplist"
 )
 
-// TestCompositeSuites runs the full linearizable-set conformance battery
-// against the acceptance composites and a nested one.
+// composites is the one composite roster every battery draws from:
+// every combinator over blocking leaves, sharded, striped and readcache
+// over lock-free or wait-free ones too, the acceptance specs, the shard
+// widths the batch paths branch on (sharded(1,...) maximizes the
+// single-shard flat-combining path; sharded(32,...) is csdsd's default
+// spec, where a batch of at most 32 keys skips grouping), hash-table
+// leaves under merging composites, and nesting in both directions.
+var composites = []string{
+	"sharded(1,list/lazy)",
+	"sharded(4,list/lazy)",
+	"sharded(16,list/lazy)",
+	"sharded(4,list/harris)",
+	"sharded(4,hashtable/lazy)",
+	"sharded(32,hashtable/lazy)",
+	"sharded(4,skiplist/herlihy)",
+
+	"striped(8,skiplist/herlihy)",
+	"striped(4,list/waitfree)",
+	"striped(4,hashtable/lazy)",
+	"striped(4,skiplist/lockfree)",
+	"striped(4,bst/tk)",
+	"striped(4,list/lazy)",
+	"striped(4,sharded(2,list/lazy))",
+
+	"readcache(1024,bst/tk)",
+	"readcache(64,sharded(4,hashtable/lazy))",
+	"readcache(128,list/harris)",
+	"readcache(64,elastic(4,list/lazy))",
+	"readcache(8,hashtable/lazy)",
+	"readcache(8,list/lazy)",
+	"readcache(64,list/lazy)",
+
+	"elastic(4,list/lazy)",
+	"elastic(4,bst/tk)",
+	"elastic(2,hashtable/lazy)",
+	"elastic(3,striped(2,list/lazy))",
+	"elastic(2,list/lazy)",
+	"elastic(4,skiplist/herlihy)",
+	"elastic(2,skiplist/herlihy)",
+	"elastic(2,bst/tk)",
+}
+
+// Each battery runs on the whole roster. The *MoreLeaves tests and
+// TestElasticSuites keep the specs they have always named; the base test
+// of each battery takes the rest of the roster.
+var (
+	suitesMoreLeaves = []string{"sharded(4,list/harris)", "striped(4,list/waitfree)", "readcache(128,list/harris)"}
+	elasticSuites    = []string{"elastic(4,list/lazy)", "elastic(2,hashtable/lazy)", "readcache(64,elastic(4,list/lazy))", "elastic(3,striped(2,list/lazy))"}
+	moreLeaves       = []string{"sharded(4,list/harris)", "striped(4,list/waitfree)", "striped(4,skiplist/lockfree)", "elastic(4,bst/tk)"}
+)
+
+// except returns the roster without the specs in held.
+func except(held ...[]string) []string {
+	var out []string
+	for _, spec := range composites {
+		if !slices.ContainsFunc(held, func(h []string) bool { return slices.Contains(h, spec) }) {
+			out = append(out, spec)
+		}
+	}
+	return out
+}
+
+// elastics returns the roster's core.Resizable specs: those whose
+// outermost combinator is elastic.
+func elastics() []string {
+	var out []string
+	for _, spec := range composites {
+		if strings.HasPrefix(spec, "elastic(") {
+			out = append(out, spec)
+		}
+	}
+	return out
+}
+
+// eachSpec runs the batteries b on every spec, one subtest per spec.
+func eachSpec(t *testing.T, specs []string, b settest.Battery) {
+	for _, spec := range specs {
+		f, err := core.NewFactory(spec)
+		if err != nil {
+			t.Fatalf("resolving %s: %v", spec, err)
+		}
+		t.Run(spec, func(t *testing.T) { settest.RunAll(t, settest.Factory(f), b) })
+	}
+}
+
 func TestCompositeSuites(t *testing.T) {
-	for _, spec := range []string{
-		"sharded(16,list/lazy)",
-		"striped(8,skiplist/herlihy)",
-		"readcache(1024,bst/tk)",
-		"readcache(64,sharded(4,hashtable/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunSpec(t, spec) })
-	}
+	eachSpec(t, except(suitesMoreLeaves, elasticSuites), settest.Point)
 }
+func TestCompositeSuitesMoreLeaves(t *testing.T) { eachSpec(t, suitesMoreLeaves, settest.Point) }
+func TestElasticSuites(t *testing.T)             { eachSpec(t, elasticSuites, settest.Point) }
 
-// TestCompositeSuitesMoreLeaves cross-checks each combinator over a
-// different progress class (lock-free and wait-free leaves must compose
-// just as well as blocking ones).
-func TestCompositeSuitesMoreLeaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-product suites are the long battery")
-	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"readcache(128,list/harris)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunSpec(t, spec) })
-	}
-}
+func TestCompositeElided(t *testing.T)   { eachSpec(t, composites, settest.Elided) }
+func TestCompositeEBR(t *testing.T)      { eachSpec(t, composites, settest.EBR) }
+func TestCombinatorsPoison(t *testing.T) { eachSpec(t, composites, settest.Poison) }
 
-// TestCompositeScanners runs the linearizable range-scan battery over
-// every combinator. Ordered follows the scan contract: striped preserves
-// inner order, sharded and elastic sort their merge, readcache inherits
-// the inner order — and since the hash tables grew their ordered key
-// index, every leaf in the module scans ascending, so every composite
-// does too.
-func TestCompositeScanners(t *testing.T) {
-	for _, tc := range []struct {
-		spec    string
-		ordered bool
-	}{
-		{"sharded(16,list/lazy)", true},
-		{"sharded(4,hashtable/lazy)", true}, // merge sort orders the hash leaves
-		{"striped(8,skiplist/herlihy)", true},
-		{"striped(4,hashtable/lazy)", true}, // indexed hash leaves scan ascending now
-		{"readcache(1024,bst/tk)", true},
-		{"readcache(64,sharded(4,hashtable/lazy))", true},
-		{"elastic(4,list/lazy)", true},
-		{"striped(4,sharded(2,list/lazy))", true},
-	} {
-		t.Run(tc.spec, func(t *testing.T) { settest.RunScannerSpec(t, tc.spec, tc.ordered) })
-	}
-}
+// TestCombinatorsChaos: injected stalls, forced guard failures and the
+// EBR antagonist against the composite protocols — cross-shard merges,
+// striped ranges, readcache's version-guarded fills and elastic's COW
+// shard maps — under the full invariant set.
+func TestCombinatorsChaos(t *testing.T) { eachSpec(t, composites, settest.Chaos) }
 
-// TestCompositeScannersMoreLeaves cross-checks scans over lock-free and
-// wait-free leaves (the long battery).
-func TestCompositeScannersMoreLeaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-product suites are the long battery")
-	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunScannerSpec(t, spec, true) })
-	}
-}
+// Composite scans and cursor pages are ascending: merge sort orders the
+// shards' streams, hash-table leaves included.
+func TestCompositeScanners(t *testing.T)           { eachSpec(t, except(moreLeaves), settest.Scan) }
+func TestCompositeScannersMoreLeaves(t *testing.T) { eachSpec(t, moreLeaves, settest.Scan) }
+func TestCompositeCursors(t *testing.T)            { eachSpec(t, except(moreLeaves), settest.Cursor) }
+func TestCompositeCursorsMoreLeaves(t *testing.T)  { eachSpec(t, moreLeaves, settest.Cursor) }
+func TestCompositeCursorPageCost(t *testing.T)     { eachSpec(t, composites, settest.PageCost) }
+func TestCompositeBatchers(t *testing.T)           { eachSpec(t, except(moreLeaves), settest.Batch) }
+func TestCompositeBatchersMoreLeaves(t *testing.T) { eachSpec(t, moreLeaves, settest.Batch) }
 
-// TestCompositeCursors runs the paginated-iteration battery across the
-// combinator grid: merge cursors (sharded), per-stripe resumption
-// (striped), delegation (readcache), epoch-disciplined merges (elastic),
-// and nesting — including hash-table leaves, whose cursor pages are
-// sorted into the same ascending order every composite promises.
-func TestCompositeCursors(t *testing.T) {
-	for _, spec := range []string{
-		"sharded(16,list/lazy)",
-		"sharded(4,hashtable/lazy)",
-		"striped(8,skiplist/herlihy)",
-		"striped(4,hashtable/lazy)",
-		"readcache(1024,bst/tk)",
-		"readcache(64,sharded(4,hashtable/lazy))",
-		"elastic(4,list/lazy)",
-		"striped(4,sharded(2,list/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunCursorSpec(t, spec) })
-	}
-}
-
-// TestCompositeCursorsMoreLeaves cross-checks cursors over lock-free and
-// wait-free leaves (the long battery).
-func TestCompositeCursorsMoreLeaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-product suites are the long battery")
-	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunCursorSpec(t, spec) })
-	}
-}
-
-// TestCompositeBatchers runs the batched-operation battery over every
-// combinator: shard-grouped sub-batches (sharded, including the
-// single-shard flat-combining path), sparse reads looped as point gets
-// (sharded(32,...): csdsd's default spec, where a batch of at most 32
-// keys skips grouping), per-stripe grouping (striped),
-// probe-then-forward (readcache), epoch- and gate-disciplined grouping
-// (elastic), and nesting. sharded(1,...) maximizes the single-shard
-// combine path's exposure.
-func TestCompositeBatchers(t *testing.T) {
-	for _, spec := range []string{
-		"sharded(16,list/lazy)",
-		"sharded(1,list/lazy)",
-		"sharded(4,hashtable/lazy)",
-		"sharded(32,hashtable/lazy)",
-		"striped(8,skiplist/herlihy)",
-		"readcache(1024,bst/tk)",
-		"readcache(64,sharded(4,hashtable/lazy))",
-		"elastic(4,list/lazy)",
-		"striped(4,sharded(2,list/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunBatcherSpec(t, spec) })
-	}
-}
-
-// TestCompositeBatchersMoreLeaves cross-checks batches over lock-free
-// and wait-free leaves (the long battery).
-func TestCompositeBatchersMoreLeaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-product suites are the long battery")
-	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunBatcherSpec(t, spec) })
-	}
-}
-
-// TestElasticBatchUnderResize is the acceptance point of the batch
-// battery: batches over elastic composites must keep the per-key
-// algebra and anchor visibility — every element linearizing inside its
-// call — while a dedicated goroutine grows and shrinks the shard map
-// between (and during) batches.
-func TestElasticBatchUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunBatcherResizable(t, settest.Factory(f))
-		})
-	}
-}
-
-// TestElasticCursorUnderResize is the acceptance point of the cursor
-// battery: pagination over elastic composites must stay duplicate-free
-// and anchor-complete — and tokens must keep resuming — while a
-// dedicated goroutine grows and shrinks the shard map between (and
-// during) pages.
+// The under-resize arm on every elastic spec: each concurrent body,
+// poison included, re-runs while one antagonist grows and shrinks the
+// shard map underneath — the acceptance gate for online resharding.
+func TestElasticResizable(t *testing.T)       { eachSpec(t, elastics(), settest.Resize|settest.Point) }
+func TestElasticScanUnderResize(t *testing.T) { eachSpec(t, elastics(), settest.Resize|settest.Scan) }
 func TestElasticCursorUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunCursorResizable(t, settest.Factory(f))
-		})
-	}
+	eachSpec(t, elastics(), settest.Resize|settest.Cursor)
 }
-
-// TestElasticScanUnderResize is the acceptance point of the scan
-// battery: elastic composites must return consistent snapshots while a
-// dedicated goroutine grows and shrinks the shard map mid-scan.
-func TestElasticScanUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunScannerResizable(t, settest.Factory(f), true)
-		})
-	}
-}
-
-// TestCompositeEBR checks epoch-based reclamation threads through the
-// wrappers: the shared domain in Options reaches every inner instance.
-func TestCompositeEBR(t *testing.T) {
-	for _, spec := range []string{"sharded(4,list/lazy)", "readcache(64,list/lazy)"} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) { settest.RunEBR(t, settest.Factory(f)) })
-	}
-}
+func TestElasticBatchUnderResize(t *testing.T) { eachSpec(t, elastics(), settest.Resize|settest.Batch) }
+func TestElasticPoison(t *testing.T)           { eachSpec(t, elastics(), settest.Resize|settest.Poison) }
 
 func ctx() *core.Ctx { return core.NewCtx(0) }
 

@@ -5,37 +5,7 @@ import (
 	"testing"
 
 	"csds/internal/core"
-	"csds/internal/settest"
 )
-
-// TestElasticSuites runs the full linearizable-set conformance battery
-// against elastic composites, including nested ones in both directions.
-func TestElasticSuites(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(4,list/lazy)",
-		"elastic(2,hashtable/lazy)",
-		"readcache(64,elastic(4,list/lazy))",
-		"elastic(3,striped(2,list/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunSpec(t, spec) })
-	}
-}
-
-// TestElasticResizable runs the concurrent battery while a dedicated
-// goroutine grows and shrinks the partition the whole time — the
-// acceptance gate for online resharding.
-func TestElasticResizable(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(4,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) { settest.RunResizable(t, settest.Factory(f)) })
-	}
-}
 
 // TestElasticGrowShrinkMovesKeys checks quiesced resizes migrate every
 // key: grow then shrink, verifying width, length, membership and hash

@@ -14,9 +14,9 @@
 // pair from that seed, and every firing is counted in a shared Tally. Two
 // runs that execute the same operation sequence under the same plan fire
 // the same faults the same number of times — which is what lets the chaos
-// battery (settest.RunChaos), `csdsd -fault` and `csdsbench -fault` pin
-// failures to reproducible seeds instead of waiting for production to
-// find them.
+// battery (settest.RunAll's chaos arm), `csdsd -fault` and
+// `csdsbench -fault` pin failures to reproducible seeds instead of
+// waiting for production to find them.
 //
 // The plane injects faults; it never implements recovery. Recovery lives
 // where it belongs: the EBR watchdog and degraded mode in internal/server,
@@ -307,8 +307,8 @@ func ParsePlan(spec string) (*Plan, error) {
 // ChaosPlan is the standard battery schedule: every structure-facing and
 // EBR-facing point armed at rates tuned so a few thousand operations per
 // worker hit each point several times without drowning the run in sleep.
-// settest.RunChaos and the CI chaos job run exactly this plan under three
-// pinned seeds.
+// The chaos arm of settest.RunAll and the CI chaos job run exactly this
+// plan under three pinned seeds.
 func ChaosPlan(seed uint64) *Plan {
 	return NewPlan(seed).
 		Set(OpDelay, Rule{Prob: 0.02, Min: time.Microsecond, Max: 50 * time.Microsecond}).

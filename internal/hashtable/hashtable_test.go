@@ -1,177 +1,128 @@
 package hashtable
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"csds/internal/core"
 	"csds/internal/settest"
 )
 
-func TestLazy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLazy(o) })
+func lazy(o core.Options) core.Set    { return NewLazy(o) }
+func cow(o core.Options) core.Set     { return NewCOW(o) }
+func striped(o core.Options) core.Set { return NewStriped(o) }
+
+// smallTable is the lazy table with 2 buckets, which forces heavy chain
+// sharing: sorted-splice paths, scans and cursor pages over long shared
+// buckets, and chains that recycle under readers mid-traversal.
+func smallTable(o core.Options) core.Set {
+	o.Buckets = 2
+	return NewLazy(o)
 }
 
-func TestLazyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+// The per-algorithm arms of settest's matrix, one test per arm.
+func TestLazy(t *testing.T)          { settest.RunAll(t, lazy, settest.Point) }
+func TestLazyElided(t *testing.T)    { settest.RunAll(t, lazy, settest.Elided) }
+func TestLazyEBR(t *testing.T)       { settest.RunAll(t, lazy, settest.EBR) }
+func TestLazyPoison(t *testing.T)    { settest.RunAll(t, lazy, settest.Poison) }
+func TestLazyChaos(t *testing.T)     { settest.RunAll(t, lazy, settest.Chaos) }
+func TestCOW(t *testing.T)           { settest.RunAll(t, cow, settest.Point) }
+func TestCOWElided(t *testing.T)     { settest.RunAll(t, cow, settest.Elided) }
+func TestCOWEBR(t *testing.T)        { settest.RunAll(t, cow, settest.EBR) }
+func TestCOWPoison(t *testing.T)     { settest.RunAll(t, cow, settest.Poison) }
+func TestCOWChaos(t *testing.T)      { settest.RunAll(t, cow, settest.Chaos) }
+func TestStriped(t *testing.T)       { settest.RunAll(t, striped, settest.Point) }
+func TestStripedElided(t *testing.T) { settest.RunAll(t, striped, settest.Elided) }
+func TestStripedEBR(t *testing.T)    { settest.RunAll(t, striped, settest.EBR) }
+func TestStripedPoison(t *testing.T) { settest.RunAll(t, striped, settest.Poison) }
+func TestStripedChaos(t *testing.T)  { settest.RunAll(t, striped, settest.Chaos) }
 
-func TestLazyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+// The whole matrix on the 2-bucket table.
+func TestLazySmallTable(t *testing.T)               { settest.RunAll(t, smallTable, settest.Point) }
+func TestLazySmallTableElided(t *testing.T)         { settest.RunAll(t, smallTable, settest.Elided) }
+func TestLazySmallTableEBR(t *testing.T)            { settest.RunAll(t, smallTable, settest.EBR) }
+func TestLazySmallTablePoison(t *testing.T)         { settest.RunAll(t, smallTable, settest.Poison) }
+func TestLazySmallTableChaos(t *testing.T)          { settest.RunAll(t, smallTable, settest.Chaos) }
+func TestLazyScannerSmallTable(t *testing.T)        { settest.RunAll(t, smallTable, settest.Scan) }
+func TestLazyCursorSmallTable(t *testing.T)         { settest.RunAll(t, smallTable, settest.Cursor) }
+func TestLazyCursorPageCostSmallTable(t *testing.T) { settest.RunAll(t, smallTable, settest.PageCost) }
+func TestLazyBatcherSmallTable(t *testing.T)        { settest.RunAll(t, smallTable, settest.Batch) }
 
-func TestLazySmallTable(t *testing.T) {
-	// A 2-bucket table forces heavy chain sharing: exercises sorted-splice
-	// paths thoroughly.
-	settest.Run(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
-}
-
-func TestCOW(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestStriped(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewStriped(o) })
-}
-
-func TestBucketedLockCoupling(t *testing.T) {
-	info, _ := core.Lookup("hashtable/lockcoupling")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedPugh(t *testing.T) {
-	info, _ := core.Lookup("hashtable/pugh")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedHarris(t *testing.T) {
-	info, _ := core.Lookup("hashtable/harris")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedWaitFree(t *testing.T) {
-	info, _ := core.Lookup("hashtable/waitfree")
-	settest.Run(t, info.New)
-}
-
-// TestScanners runs the linearizable range-scan battery on every table.
-// Since the ordered key index, hash-table scans are ascending like every
-// other structure's — the battery's order assertion is on.
-func TestScanners(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
+// bucketed runs the batteries b on a registered bucketed table (a hash
+// table whose buckets are one of the list algorithms).
+func bucketed(t *testing.T, name string, b settest.Battery) {
+	info, ok := core.Lookup(name)
+	if !ok {
+		t.Fatalf("registry is missing %s", name)
 	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
+	settest.RunAll(t, info.New, b)
+}
+
+func TestBucketedLockCoupling(t *testing.T) { bucketed(t, "hashtable/lockcoupling", settest.Point) }
+func TestBucketedLockCouplingElided(t *testing.T) {
+	bucketed(t, "hashtable/lockcoupling", settest.Elided)
+}
+func TestBucketedLockCouplingEBR(t *testing.T) { bucketed(t, "hashtable/lockcoupling", settest.EBR) }
+func TestBucketedLockCouplingPoison(t *testing.T) {
+	bucketed(t, "hashtable/lockcoupling", settest.Poison)
+}
+func TestBucketedPugh(t *testing.T)           { bucketed(t, "hashtable/pugh", settest.Point) }
+func TestBucketedPughElided(t *testing.T)     { bucketed(t, "hashtable/pugh", settest.Elided) }
+func TestBucketedPughEBR(t *testing.T)        { bucketed(t, "hashtable/pugh", settest.EBR) }
+func TestBucketedPughPoison(t *testing.T)     { bucketed(t, "hashtable/pugh", settest.Poison) }
+func TestBucketedHarris(t *testing.T)         { bucketed(t, "hashtable/harris", settest.Point) }
+func TestBucketedHarrisElided(t *testing.T)   { bucketed(t, "hashtable/harris", settest.Elided) }
+func TestBucketedHarrisEBR(t *testing.T)      { bucketed(t, "hashtable/harris", settest.EBR) }
+func TestBucketedHarrisPoison(t *testing.T)   { bucketed(t, "hashtable/harris", settest.Poison) }
+func TestBucketedWaitFree(t *testing.T)       { bucketed(t, "hashtable/waitfree", settest.Point) }
+func TestBucketedWaitFreeElided(t *testing.T) { bucketed(t, "hashtable/waitfree", settest.Elided) }
+func TestBucketedWaitFreeEBR(t *testing.T)    { bucketed(t, "hashtable/waitfree", settest.EBR) }
+func TestBucketedWaitFreePoison(t *testing.T) { bucketed(t, "hashtable/waitfree", settest.Poison) }
+
+func TestBucketedChaos(t *testing.T) {
+	for _, name := range []string{
+		"hashtable/lockcoupling", "hashtable/pugh", "hashtable/harris", "hashtable/waitfree",
 	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+		t.Run(name, func(t *testing.T) { bucketed(t, name, settest.Chaos) })
 	}
 }
 
-// TestLazyScannerSmallTable forces heavy chain sharing so scans see long
-// shared buckets under churn.
-func TestLazyScannerSmallTable(t *testing.T) {
-	settest.RunScanner(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	}, true)
-}
+// wired names, in registry order, the hashtables with per-algorithm tests
+// above.
+var wired = []string{"hashtable/cow", "hashtable/harris", "hashtable/lazy", "hashtable/lockcoupling", "hashtable/pugh", "hashtable/striped", "hashtable/waitfree"}
 
-// TestCursors runs the paginated-iteration battery on every table.
-// Unlike one-shot hash scans, cursor pages are ascending by key even
-// here — key order is the only resumable order a churning hash table
-// can offer — so the battery's order assertion stays on.
-func TestCursors(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
+// TestEveryAlgorithmWired fails until every registered hashtable is named
+// in wired with its per-algorithm tests, so a new algorithm cannot ship
+// without the whole matrix.
+func TestEveryAlgorithmWired(t *testing.T) {
+	var registered []string
+	for _, info := range core.ByKind("hashtable") {
+		registered = append(registered, info.Name)
 	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+	if !slices.Equal(registered, wired) {
+		t.Fatalf("registered hashtables %v, per-algorithm tests for %v", registered, wired)
 	}
 }
 
-// TestBatchers runs the batched-operation battery on every table
-// (unsorted point application — hash routing destroys key order, so the
-// loop is the optimal plan and amortization comes from the combinator
-// layer above).
-func TestBatchers(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
-	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
+// eachAlg runs the batteries b on every registered hashtable, one
+// subtest per algorithm named without its kind prefix.
+func eachAlg(t *testing.T, b settest.Battery) {
+	for _, info := range core.ByKind("hashtable") {
+		t.Run(strings.TrimPrefix(info.Name, "hashtable/"), func(t *testing.T) { settest.RunAll(t, info.New, b) })
 	}
 }
 
-// TestLazyCursorSmallTable forces heavy chain sharing so cursor pages
-// see long shared buckets under churn.
-func TestLazyCursorSmallTable(t *testing.T) {
-	settest.RunCursor(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
-}
-
-// TestCursorPageCost: every table's full paginated iteration must
-// materialize O(pages·page) keys (counter-verified), not the
-// O(pages·table) the pre-index collect-and-sort paid — the ordered key
-// index is what this pins.
-func TestCursorPageCost(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
-	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, mk) })
-	}
-}
+// The capability arms loop the registry. Hash-table scans and cursor
+// pages are ascending like every other structure's (the ordered key
+// index); batches apply as unsorted point operations, since hash routing
+// destroys key order and amortization comes from the combinator layer
+// above. TestCursorPageCost pins the O(pages·page) materialization the
+// ordered key index bought over the old O(pages·table) collect-and-sort.
+func TestScanners(t *testing.T)       { eachAlg(t, settest.Scan) }
+func TestCursors(t *testing.T)        { eachAlg(t, settest.Cursor) }
+func TestCursorPageCost(t *testing.T) { eachAlg(t, settest.PageCost) }
+func TestBatchers(t *testing.T)       { eachAlg(t, settest.Batch) }
 
 func TestBucketCount(t *testing.T) {
 	cases := []struct {

@@ -1,6 +1,8 @@
 package list
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,111 +12,90 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestLazy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLazy(o) })
+func lazy(o core.Options) core.Set         { return NewLazy(o) }
+func lockCoupling(o core.Options) core.Set { return NewLockCoupling(o) }
+func pugh(o core.Options) core.Set         { return NewPugh(o) }
+func cow(o core.Options) core.Set          { return NewCOW(o) }
+func harris(o core.Options) core.Set       { return NewHarris(o) }
+func waitFree(o core.Options) core.Set     { return NewWaitFree(o) }
+
+// The per-algorithm arms of settest's matrix, one test per arm.
+func TestLazy(t *testing.T)               { settest.RunAll(t, lazy, settest.Point) }
+func TestLazyElided(t *testing.T)         { settest.RunAll(t, lazy, settest.Elided) }
+func TestLazyEBR(t *testing.T)            { settest.RunAll(t, lazy, settest.EBR) }
+func TestLazyPoison(t *testing.T)         { settest.RunAll(t, lazy, settest.Poison) }
+func TestLazyChaos(t *testing.T)          { settest.RunAll(t, lazy, settest.Chaos) }
+func TestLockCoupling(t *testing.T)       { settest.RunAll(t, lockCoupling, settest.Point) }
+func TestLockCouplingElided(t *testing.T) { settest.RunAll(t, lockCoupling, settest.Elided) }
+func TestLockCouplingEBR(t *testing.T)    { settest.RunAll(t, lockCoupling, settest.EBR) }
+func TestLockCouplingPoison(t *testing.T) { settest.RunAll(t, lockCoupling, settest.Poison) }
+func TestLockCouplingChaos(t *testing.T)  { settest.RunAll(t, lockCoupling, settest.Chaos) }
+func TestPugh(t *testing.T)               { settest.RunAll(t, pugh, settest.Point) }
+func TestPughElided(t *testing.T)         { settest.RunAll(t, pugh, settest.Elided) }
+func TestPughEBR(t *testing.T)            { settest.RunAll(t, pugh, settest.EBR) }
+func TestPughPoison(t *testing.T)         { settest.RunAll(t, pugh, settest.Poison) }
+func TestPughChaos(t *testing.T)          { settest.RunAll(t, pugh, settest.Chaos) }
+func TestCOW(t *testing.T)                { settest.RunAll(t, cow, settest.Point) }
+func TestCOWElided(t *testing.T)          { settest.RunAll(t, cow, settest.Elided) }
+func TestCOWEBR(t *testing.T)             { settest.RunAll(t, cow, settest.EBR) }
+func TestCOWPoison(t *testing.T)          { settest.RunAll(t, cow, settest.Poison) }
+func TestCOWChaos(t *testing.T)           { settest.RunAll(t, cow, settest.Chaos) }
+func TestHarris(t *testing.T)             { settest.RunAll(t, harris, settest.Point) }
+func TestHarrisElided(t *testing.T)       { settest.RunAll(t, harris, settest.Elided) }
+func TestHarrisEBR(t *testing.T)          { settest.RunAll(t, harris, settest.EBR) }
+func TestHarrisPoison(t *testing.T)       { settest.RunAll(t, harris, settest.Poison) }
+func TestHarrisChaos(t *testing.T)        { settest.RunAll(t, harris, settest.Chaos) }
+func TestWaitFree(t *testing.T)           { settest.RunAll(t, waitFree, settest.Point) }
+func TestWaitFreeElided(t *testing.T)     { settest.RunAll(t, waitFree, settest.Elided) }
+func TestWaitFreeEBR(t *testing.T)        { settest.RunAll(t, waitFree, settest.EBR) }
+func TestWaitFreePoison(t *testing.T)     { settest.RunAll(t, waitFree, settest.Poison) }
+func TestWaitFreeChaos(t *testing.T)      { settest.RunAll(t, waitFree, settest.Chaos) }
+
+// elidedLazy is the lazy list with HTM elision on its update paths.
+func elidedLazy(o core.Options) core.Set {
+	o.ElideAttempts = 5
+	return NewLazy(o)
 }
 
-func TestLazyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+// The scan and cursor batteries once more with elision on: guard
+// windows inside elided critical sections must not let a scan or a page
+// observe a torn insert or remove.
+func TestLazyScannerElided(t *testing.T) { settest.RunAll(t, elidedLazy, settest.Scan) }
+func TestLazyCursorElided(t *testing.T)  { settest.RunAll(t, elidedLazy, settest.Cursor) }
 
-func TestLazyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+// wired names, in registry order, the lists with per-algorithm tests
+// above.
+var wired = []string{"list/cow", "list/harris", "list/lazy", "list/lockcoupling", "list/pugh", "list/waitfree"}
 
-func TestLockCoupling(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLockCoupling(o) })
-}
-
-func TestPugh(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-func TestCOW(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestHarris(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewHarris(o) })
-}
-
-func TestHarrisEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewHarris(o) })
-}
-
-func TestWaitFree(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewWaitFree(o) })
-}
-
-// TestScanners runs the linearizable range-scan battery on every list:
-// all six are ordered structures, so scans promise ascending key order.
-func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+// TestEveryAlgorithmWired fails until every registered list is named
+// in wired with its per-algorithm tests, so a new algorithm cannot ship
+// without the whole matrix.
+func TestEveryAlgorithmWired(t *testing.T) {
+	var registered []string
+	for _, info := range core.ByKind("list") {
+		registered = append(registered, info.Name)
+	}
+	if !slices.Equal(registered, wired) {
+		t.Fatalf("registered lists %v, per-algorithm tests for %v", registered, wired)
 	}
 }
 
-// TestLazyScannerElided re-runs the scan battery with HTM elision on the
-// update paths: the guard windows inside elided critical sections must
-// validate scans exactly like the plain-lock paths.
-func TestLazyScannerElided(t *testing.T) {
-	settest.RunScanner(t, func(o core.Options) core.Set {
-		o.ElideAttempts = 5
-		return NewLazy(o)
-	}, true)
-}
-
-// TestCursors runs the paginated-iteration battery on every list:
-// resumable pages, ascending, duplicate-free, anchor-complete.
-func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+// eachAlg runs the batteries b on every registered list, one subtest
+// per algorithm named without its kind prefix.
+func eachAlg(t *testing.T, b settest.Battery) {
+	for _, info := range core.ByKind("list") {
+		t.Run(strings.TrimPrefix(info.Name, "list/"), func(t *testing.T) { settest.RunAll(t, info.New, b) })
 	}
 }
 
-// TestBatchers runs the batched-operation battery on every list: model
-// conformance over random batch shapes (duplicates, misses, empties),
-// caller-order delivery, and the concurrent batch algebra — covering
-// both the bespoke single-traversal paths (lazy, lockcoupling, cow,
-// harris reads) and the generic sorted delegation (pugh, waitfree).
-func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
-	}
-}
-
-// TestLazyCursorElided re-runs the cursor battery with HTM elision on
-// the update paths, mirroring TestLazyScannerElided.
-func TestLazyCursorElided(t *testing.T) {
-	settest.RunCursor(t, func(o core.Options) core.Set {
-		o.ElideAttempts = 5
-		return NewLazy(o)
-	})
-}
+// The capability arms loop the registry.
+func TestScanners(t *testing.T)       { eachAlg(t, settest.Scan) }
+func TestCursors(t *testing.T)        { eachAlg(t, settest.Cursor) }
+func TestCursorPageCost(t *testing.T) { eachAlg(t, settest.PageCost) }
+func TestBatchers(t *testing.T)       { eachAlg(t, settest.Batch) }
 
 func TestRegistryEntries(t *testing.T) {
-	for _, name := range []string{"list/lazy", "list/lockcoupling", "list/pugh", "list/cow", "list/harris", "list/waitfree"} {
+	for _, name := range wired {
 		info, ok := core.Lookup(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)

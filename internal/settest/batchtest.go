@@ -11,10 +11,12 @@
 //   - the set-theoretic concurrent algebra (successful inserts minus
 //     removes per key equals final presence) holds when every update
 //     travels through batches, including while an elastic composite is
-//     resized underneath (RunBatcherResizable).
+//     resized underneath (RunAll's under-resize arm).
+
 package settest
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,96 +24,10 @@ import (
 	"csds/internal/xrand"
 )
 
-// RunBatcher executes the batched-operation battery against the factory.
-// The built set must implement core.Batcher.
-func RunBatcher(t *testing.T, f Factory) {
-	t.Helper()
-	t.Run("SequentialBatchModel", func(t *testing.T) { testSequentialBatchModel(t, f) })
-	t.Run("CallerOrderDelivery", func(t *testing.T) { testCallerOrderDelivery(t, f) })
-	t.Run("ConcurrentBatchShared", func(t *testing.T) {
-		runConcurrentBatchShared(t, mustBatcher(t, f(core.Options{ExpectedSize: 64})))
-	})
-	t.Run("BatchAnchorsDuringChurn", func(t *testing.T) {
-		runBatchAnchorsDuringChurn(t, mustBatcher(t, f(core.Options{ExpectedSize: 128})))
-	})
-}
-
-// RunBatcherSpec executes the batched battery against an algorithm
-// specification resolved through the layered core factory.
-func RunBatcherSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunBatcher(t, Factory(f))
-}
-
-// RunBatcherResizable re-runs the concurrent batch bodies while a
-// dedicated goroutine cycles the partition width the whole time: the
-// batch algebra and anchor visibility must hold across grow and shrink
-// migrations racing the batches.
-func RunBatcherResizable(t *testing.T, f Factory) {
-	t.Helper()
-	resizing := func(name string, body func(t *testing.T, s core.Set)) {
-		t.Run(name, func(t *testing.T) {
-			s := f(core.Options{ExpectedSize: 256})
-			rz, ok := s.(core.Resizable)
-			if !ok {
-				t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-			}
-			if _, ok := s.(core.Batcher); !ok {
-				t.Fatalf("settest: factory built %T, which is not core.Batcher", s)
-			}
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var resizeErr error // written by the resizer, read after wg.Wait
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := core.NewCtx(999)
-				widths := []int{2, 8, 1, 4, 16, 3}
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-						resizeErr = err
-						return
-					}
-				}
-			}()
-			body(t, s)
-			close(stop)
-			wg.Wait()
-			if resizeErr != nil {
-				t.Fatalf("settest: Resize failed during the batch battery: %v", resizeErr)
-			}
-		})
-	}
-	resizing("BatchSharedUnderResize", func(t *testing.T, s core.Set) {
-		runConcurrentBatchShared(t, mustBatcher(t, s))
-	})
-	resizing("BatchAnchorsUnderResize", func(t *testing.T, s core.Set) {
-		runBatchAnchorsDuringChurn(t, mustBatcher(t, s))
-	})
-}
-
 // batchSet is the composite the batch bodies operate on.
 type batchSet interface {
 	core.Set
 	core.Batcher
-}
-
-func mustBatcher(t *testing.T, s core.Set) batchSet {
-	t.Helper()
-	b, ok := s.(batchSet)
-	if !ok {
-		t.Fatalf("settest: factory built %T, which is not core.Batcher", s)
-	}
-	return b
 }
 
 // testSequentialBatchModel drives random batch shapes — duplicate keys,
@@ -119,7 +35,7 @@ func mustBatcher(t *testing.T, s core.Set) batchSet {
 // sizes — against a model map that applies elements in index order, and
 // checks every per-index result and the final structure state.
 func testSequentialBatchModel(t *testing.T, f Factory) {
-	s := mustBatcher(t, f(core.Options{ExpectedSize: 128}))
+	s := f(core.Options{ExpectedSize: 128}).(batchSet)
 	c := ctx()
 	rng := xrand.New(20250807)
 	model := map[core.Key]core.Value{}
@@ -224,7 +140,7 @@ func testSequentialBatchModel(t *testing.T, f Factory) {
 // and a batch mixing present, absent and repeated keys reports each
 // index's own outcome.
 func testCallerOrderDelivery(t *testing.T, f Factory) {
-	s := mustBatcher(t, f(core.Options{}))
+	s := f(core.Options{}).(batchSet)
 	c := ctx()
 	// Empty batches: the callback must never fire.
 	s.MultiGet(c, nil, func(int, core.Value, bool) { t.Fatal("MultiGet on empty batch fired") })
@@ -387,7 +303,7 @@ func runBatchAnchorsDuringChurn(t *testing.T, s batchSet) {
 			c := core.NewCtx(100 + r)
 			rng := xrand.New(uint64(r) + 777)
 			keys := make([]core.Key, 0, 8)
-			for {
+			for i := 1; ; i++ {
 				select {
 				case <-stop:
 					return
@@ -411,6 +327,9 @@ func runBatchAnchorsDuringChurn(t *testing.T, s batchSet) {
 						mu.Unlock()
 					}
 				})
+				if i&63 == 0 {
+					runtime.Gosched() // see runReadersDuringUpdates
+				}
 			}
 		}(r)
 	}

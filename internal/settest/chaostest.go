@@ -12,6 +12,7 @@
 // (no traversal observes a poisoned or recycled mapping), and a quiesced
 // drain ending at reclaimed == retired. A fault plane that broke any of
 // them would be injecting unsoundness, not adversity.
+
 package settest
 
 import (
@@ -30,37 +31,11 @@ import (
 // nodes under traversal, large enough for scans to cover real pages.
 const chaosSpan = 96
 
-// ChaosSeeds are the pinned seeds of the standard battery — the CI chaos
-// job runs exactly these. Three seeds, three different interleaving
-// pressures; a failure reproduces with `-run Chaos` and the seed printed
-// in the subtest name.
-var ChaosSeeds = []uint64{0xC0FFEE, 0xBADC0DE, 0x5EED}
-
-// RunChaos executes the chaos battery against the factory once per pinned
-// seed (one seed under -short).
-func RunChaos(t *testing.T, f Factory) {
-	t.Helper()
-	seeds := ChaosSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			runChaos(t, f, fault.ChaosPlan(seed))
-		})
-	}
-}
-
-// RunChaosSpec runs the chaos battery against an algorithm spec resolved
-// through the layered core factory.
-func RunChaosSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunChaos(t, Factory(f))
-}
+// chaosSeeds are the pinned seeds of the standard battery — the CI chaos
+// job runs exactly these (one under -short). Three seeds, three
+// different interleaving pressures; a failure reproduces with the seed
+// printed in the subtest name.
+var chaosSeeds = []uint64{0xC0FFEE, 0xBADC0DE, 0x5EED}
 
 func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 	t.Helper()
@@ -218,15 +193,7 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 		t.Fatalf("chaos plan %s scheduled %s but it never fired (fired: %s)", plan, fault.CSDelay, tally)
 	}
 
-	// Quiesced drain: every advance now succeeds, aging all limbo out of
-	// its grace period. The injected stalls, abandons, and delayed retire
+	// Quiesced drain: the injected stalls, abandons, and delayed retire
 	// callbacks must not strand a single node.
-	dom.Advance()
-	dom.Advance()
-	dom.Advance()
-	retired, reclaimed := dom.Stats()
-	if reclaimed != retired {
-		t.Fatalf("quiesced drain left %d of %d retired nodes unreclaimed (plan %s, fired: %s)",
-			retired-reclaimed, retired, plan, tally)
-	}
+	checkDrained(t, dom, fmt.Sprintf(" (plan %s, fired: %s)", plan, tally))
 }

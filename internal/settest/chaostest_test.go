@@ -56,10 +56,3 @@ func TestChaosTallyDeterministic(t *testing.T) {
 		t.Fatalf("expected op.delay, cs.delay and guard.fail to fire; got %v", a)
 	}
 }
-
-// The battery must reject nothing the standard suites accept: run it on a
-// composite spec end to end (this is also the RunChaosSpec entry point's
-// own test).
-func TestRunChaosSpecSmoke(t *testing.T) {
-	RunChaosSpec(t, "sharded(2,list/lazy)")
-}

@@ -1,4 +1,4 @@
-// Paginated-iteration conformance battery: RunCursor checks that a
+// Paginated-iteration conformance battery: RunAll checks that a
 // core.Cursor implementation pages correctly — sequential exactness
 // against a model, bounded page budgets, early stop, a round-trippable
 // and corruption-rejecting token, and, under concurrent insert/remove
@@ -16,11 +16,12 @@
 //     through Encode/Decode/ResumeCursor between every two pages sees
 //     exactly the same guarantees, because no server-side state exists.
 //
-// RunCursorResizable re-runs the concurrent battery while a dedicated
-// goroutine grows and shrinks the partition width, so elastic composites
-// prove their pagination correct across concurrent Resizes: a token
-// minted under an 8-shard map must resume seamlessly under a 2- or
-// 16-shard one.
+// On a core.Resizable set, RunAll re-runs the concurrent body while the
+// partition width grows and shrinks, so elastic composites prove their
+// pagination correct across concurrent Resizes: a token minted under an
+// 8-shard map must resume seamlessly under a 2- or 16-shard one. Every
+// Cursor also gets the page-cost check (testCursorPageCost).
+
 package settest
 
 import (
@@ -32,133 +33,61 @@ import (
 	"csds/internal/xrand"
 )
 
-// RunCursor executes the paginated-iteration battery. There is no
-// ordered parameter (unlike RunScanner): cursor pages are ascending by
-// contract on every structure, because key order is the only order a
-// churning structure can resume from.
-func RunCursor(t *testing.T, f Factory) {
-	t.Helper()
-	t.Run("CursorSequentialModel", func(t *testing.T) { testCursorSequential(t, f) })
-	t.Run("CursorPageBudget", func(t *testing.T) { testCursorPageBudget(t, f) })
-	t.Run("CursorEarlyStop", func(t *testing.T) { testCursorEarlyStop(t, f) })
-	t.Run("CursorTokenCodec", func(t *testing.T) { testCursorTokenCodec(t, f) })
-	t.Run("CursorUnderChurn", func(t *testing.T) {
-		runCursorUnderChurn(t, f(scanOptions()))
-	})
-}
-
-// RunCursorSpec resolves an algorithm spec through the layered factory
-// and runs the cursor battery against it.
-func RunCursorSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunCursor(t, Factory(f))
-}
-
-// RunCursorResizable executes the concurrent cursor battery while the
-// partition width is cycled underneath it, exactly like RunResizable:
-// pagination must stay duplicate-free and anchor-complete across any
-// number of migrations, and tokens must stay valid across every swap.
-func RunCursorResizable(t *testing.T, f Factory) {
-	t.Helper()
-	t.Run("CursorUnderResize", func(t *testing.T) {
-		s := f(scanOptions())
-		rz, ok := s.(core.Resizable)
-		if !ok {
-			t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var resizeErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := core.NewCtx(999)
-			widths := []int{2, 8, 1, 4, 16, 3}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-					resizeErr = err
-					return
-				}
-			}
-		}()
-		runCursorUnderChurn(t, s)
-		close(stop)
-		wg.Wait()
-		if resizeErr != nil {
-			t.Fatalf("settest: Resize failed during the cursor battery: %v", resizeErr)
-		}
-	})
-}
-
-// RunCursorPageCost pins the page-cost contract of the Cursor extension
+// testCursorPageCost pins the page-cost contract of the Cursor extension
 // — O(page), never O(structure) — using the refill counters of the page
 // machinery (stats.Thread.PagePulls / PagePullKeys): a full paginated
 // iteration over a pre-filled structure must deliver every key exactly
 // once, in ascending order, while materializing O(pages·page) keys in
 // total, not O(pages·table). The hash tables are the motivating case
 // (their ordered key index replaced an O(table) collect-and-sort per
-// page, which this battery would count at ~table/page times the
-// budget), but any Cursor implementation must pass.
-func RunCursorPageCost(t *testing.T, f Factory) {
-	t.Helper()
-	t.Run("CursorPageCost", func(t *testing.T) {
-		const n = 10000
-		const page = 100
-		s := f(core.Options{ExpectedSize: n, KeySpan: 2 * n})
-		if _, ok := s.(core.Cursor); !ok {
-			t.Fatalf("settest: %T does not implement core.Cursor", s)
+// page, which this check would count at ~table/page times the budget),
+// but every Cursor implementation must pass.
+func testCursorPageCost(t *testing.T, f Factory) {
+	const n = 10000
+	const page = 100
+	s := f(core.Options{ExpectedSize: n, KeySpan: 2 * n})
+	fill := ctx()
+	// Descending, so every insert into a sorted list lands at its head.
+	for i := core.Key(n - 1); i >= 0; i-- {
+		if !s.Put(fill, 2*i, core.Value(i)) { // even keys over [0, 2n)
+			t.Fatalf("fill insert %d failed", 2*i)
 		}
-		fill := ctx()
-		for i := core.Key(0); i < n; i++ {
-			if !s.Put(fill, 2*i, core.Value(i)) { // even keys over [0, 2n)
-				t.Fatalf("fill insert %d failed", 2*i)
+	}
+	c := ctx() // fresh stats slot: only the iteration's pulls count
+	cur := s.(core.Cursor)
+	pos, last := core.Key(0), core.Key(-1)
+	total, pages := 0, 0
+	for {
+		var done bool
+		pos, done = cur.CursorNext(c, pos, 2*n, page, func(k core.Key, v core.Value) bool {
+			if k <= last {
+				t.Fatalf("page delivered %d after %d: not ascending", k, last)
 			}
+			last = k
+			total++
+			return true
+		})
+		pages++
+		if pages > n {
+			t.Fatal("iteration never finished")
 		}
-		c := ctx() // fresh stats slot: only the iteration's pulls count
-		cur := s.(core.Cursor)
-		pos, last := core.Key(0), core.Key(-1)
-		total, pages := 0, 0
-		for {
-			var done bool
-			pos, done = cur.CursorNext(c, pos, 2*n, page, func(k core.Key, v core.Value) bool {
-				if k <= last {
-					t.Fatalf("page delivered %d after %d: not ascending", k, last)
-				}
-				last = k
-				total++
-				return true
-			})
-			pages++
-			if pages > n {
-				t.Fatal("iteration never finished")
-			}
-			if done {
-				break
-			}
+		if done {
+			break
 		}
-		if total != n {
-			t.Fatalf("iteration delivered %d keys, want %d", total, n)
-		}
-		if c.Stats.PagePulls == 0 || c.Stats.PagePullKeys == 0 {
-			t.Fatal("page collects recorded no pulls: the refill counters are not wired")
-		}
-		// O(pages·page) with generous slack for seeks and boundary
-		// refills; an O(pages·table) protocol would materialize about
-		// (n/page)·n = 100x this budget.
-		if budget := uint64(4 * total); c.Stats.PagePullKeys > budget {
-			t.Fatalf("full iteration materialized %d keys for %d delivered over %d pages — O(pages·page) bound (%d) exceeded",
-				c.Stats.PagePullKeys, total, pages, budget)
-		}
-	})
+	}
+	if total != n {
+		t.Fatalf("iteration delivered %d keys, want %d", total, n)
+	}
+	if c.Stats.PagePulls == 0 || c.Stats.PagePullKeys == 0 {
+		t.Fatal("page collects recorded no pulls: the refill counters are not wired")
+	}
+	// O(pages·page) with generous slack for seeks and boundary
+	// refills; an O(pages·table) protocol would materialize about
+	// (n/page)·n — n/page (100) times the delivered keys.
+	if budget := uint64(4 * total); c.Stats.PagePullKeys > budget {
+		t.Fatalf("full iteration materialized %d keys for %d delivered over %d pages — O(pages·page) bound (%d) exceeded",
+			c.Stats.PagePullKeys, total, pages, budget)
+	}
 }
 
 // paginate drives one full paginated iteration over [lo, hi), returning
@@ -207,9 +136,6 @@ func paginate(c *core.Ctx, s core.Set, lo, hi core.Key, pageSize int, resume boo
 // equal the model slice exactly, in ascending order.
 func testCursorSequential(t *testing.T, f Factory) {
 	s := f(scanOptions())
-	if _, ok := s.(core.Cursor); !ok {
-		t.Fatalf("settest: %T does not implement core.Cursor", s)
-	}
 	c := ctx()
 	rng := xrand.New(20260729)
 	model := map[core.Key]core.Value{}
@@ -244,7 +170,7 @@ func testCursorSequential(t *testing.T, f Factory) {
 		if len(got) != want {
 			t.Fatalf("step %d: pagination of [%d, %d) returned %d keys, model has %d", i, lo, hi, len(got), want)
 		}
-		if msg := snapshotViolation(got, lo, hi, true, nil, func(k core.Key) bool {
+		if msg := snapshotViolation(got, lo, hi, nil, func(k core.Key) bool {
 			_, in := model[k]
 			return in
 		}); msg != "" {
@@ -398,12 +324,9 @@ func testCursorTokenCodec(t *testing.T, f Factory) {
 // snapshotViolation — in particular no anchor may be missed or
 // double-reported across a whole paginated iteration, which is exactly
 // the no-lost-keys/no-duplicates contract of resumable cursors. The
-// structure is taken pre-built so RunCursorResizable can race the same
+// structure is taken pre-built so the under-resize arm can race the same
 // body against Resize.
 func runCursorUnderChurn(t *testing.T, s core.Set) {
-	if _, ok := s.(core.Cursor); !ok {
-		t.Fatalf("settest: %T does not implement core.Cursor", s)
-	}
 	c0 := ctx()
 	anchors := map[core.Key]core.Value{}
 	for k := core.Key(0); k < scanKeySpan; k += 2 {
@@ -451,7 +374,7 @@ func runCursorUnderChurn(t *testing.T, s core.Set) {
 				page := 1 + int(rng.Uint64n(32))
 				got, msg := paginate(c, s, lo, hi, page, i%2 == 0)
 				if msg == "" {
-					msg = snapshotViolation(got, lo, hi, true, anchors, churnOK)
+					msg = snapshotViolation(got, lo, hi, anchors, churnOK)
 				}
 				if msg != "" {
 					select {
@@ -475,7 +398,7 @@ func runCursorUnderChurn(t *testing.T, s core.Set) {
 	if msg != "" {
 		t.Fatal(msg)
 	}
-	if msg := snapshotViolation(got, 0, scanKeySpan, true, anchors, churnOK); msg != "" {
+	if msg := snapshotViolation(got, 0, scanKeySpan, anchors, churnOK); msg != "" {
 		t.Fatal(msg)
 	}
 	for _, p := range got {

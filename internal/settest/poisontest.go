@@ -14,6 +14,7 @@
 // break that equation. The battery sizes itself through scale(), parks
 // with Gosched on a cadence, and bounds every loop, so it is safe on a
 // single-CPU host.
+
 package settest
 
 import (
@@ -30,77 +31,17 @@ import (
 // constantly recycle nodes that concurrent readers are traversing.
 const poisonSpan = 96
 
-// RunPoison executes the poisoning battery against the factory: churn
-// workers retire and recycle nodes while reader workers assert that no
-// traversal ever observes a poisoned or recycled mapping, and the final
-// quiesced drain must reclaim every retired node.
-func RunPoison(t *testing.T, f Factory) {
-	t.Helper()
-	dom := ebr.NewDomain()
-	s := f(core.Options{Domain: dom, ExpectedSize: poisonSpan})
-	runPoison(t, s, dom, nil)
-}
-
-// RunPoisonSpec runs the poisoning battery against an algorithm spec
-// resolved through the layered core factory.
-func RunPoisonSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunPoison(t, Factory(f))
-}
-
-// RunPoisonResizable runs the poisoning battery while a dedicated
-// goroutine continuously resizes the composite — every published resize
-// eagerly retires a whole superseded shard map, so this is the battery
-// that proves teardown reclamation (ReclaimAll sweeps) never recycles a
-// node out from under a straggling reader.
-func RunPoisonResizable(t *testing.T, f Factory) {
-	t.Helper()
-	dom := ebr.NewDomain()
-	s := f(core.Options{Domain: dom, ExpectedSize: poisonSpan})
-	rz, ok := s.(core.Resizable)
-	if !ok {
-		t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-	}
-	runPoison(t, s, dom, rz)
-}
-
-func runPoison(t *testing.T, s core.Set, dom *ebr.Domain, rz core.Resizable) {
+// runPoison is the poisoning workload: churn workers retire and recycle
+// nodes while reader workers assert that no traversal ever observes a
+// poisoned or recycled mapping. The caller checks the quiesced drain
+// (checkDrained) once every record — a resize antagonist's included —
+// is unregistered.
+func runPoison(t *testing.T, s core.Set, dom *ebr.Domain) {
 	scanner, _ := s.(core.Scanner)
 	cursor, _ := s.(core.Cursor)
 	iters := scale(4000)
 
-	var wg, rwg sync.WaitGroup
-	stop := make(chan struct{})
-	var resizeErr error
-	if rz != nil {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			// The resizer retires superseded shard maps through its own
-			// record, exactly like the harness's elastic controller.
-			c := core.NewCtx(999)
-			c.Epoch = dom.Register()
-			defer c.Epoch.Unregister()
-			widths := []int{2, 8, 1, 4, 16, 3}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-					resizeErr = err
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
-	}
-
+	var wg sync.WaitGroup
 	// Churners: small key range, update-heavy — nodes retire, age through
 	// their grace period, and recycle while the readers below traverse.
 	const churners, readers = 2, 2
@@ -174,26 +115,5 @@ func runPoison(t *testing.T, s core.Set, dom *ebr.Domain, rz core.Resizable) {
 		}(w)
 	}
 
-	// The workload decides the duration: once churners and readers are
-	// done, stop the resizer and wait it out.
 	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	if resizeErr != nil {
-		t.Fatalf("settest: Resize failed during the poison battery: %v", resizeErr)
-	}
-
-	// Quiesced drain: all records unregistered; every advance now
-	// succeeds, aging all orphaned limbo out of its grace period. Real
-	// reclamation means nothing may stay stranded.
-	dom.Advance()
-	dom.Advance()
-	dom.Advance()
-	retired, reclaimed := dom.Stats()
-	if reclaimed > retired {
-		t.Fatalf("EBR reclaimed %d > retired %d", reclaimed, retired)
-	}
-	if reclaimed != retired {
-		t.Errorf("quiesced drain left %d of %d retired nodes unreclaimed", retired-reclaimed, retired)
-	}
 }

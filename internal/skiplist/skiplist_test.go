@@ -1,6 +1,8 @@
 package skiplist
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,57 +11,57 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestHerlihy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
+func herlihy(o core.Options) core.Set  { return NewHerlihy(o) }
+func pugh(o core.Options) core.Set     { return NewPugh(o) }
+func lockFree(o core.Options) core.Set { return NewLockFree(o) }
 
-func TestHerlihyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
+// The per-algorithm arms of settest's matrix, one test per arm.
+func TestHerlihy(t *testing.T)        { settest.RunAll(t, herlihy, settest.Point) }
+func TestHerlihyElided(t *testing.T)  { settest.RunAll(t, herlihy, settest.Elided) }
+func TestHerlihyEBR(t *testing.T)     { settest.RunAll(t, herlihy, settest.EBR) }
+func TestHerlihyPoison(t *testing.T)  { settest.RunAll(t, herlihy, settest.Poison) }
+func TestHerlihyChaos(t *testing.T)   { settest.RunAll(t, herlihy, settest.Chaos) }
+func TestPugh(t *testing.T)           { settest.RunAll(t, pugh, settest.Point) }
+func TestPughElided(t *testing.T)     { settest.RunAll(t, pugh, settest.Elided) }
+func TestPughEBR(t *testing.T)        { settest.RunAll(t, pugh, settest.EBR) }
+func TestPughPoison(t *testing.T)     { settest.RunAll(t, pugh, settest.Poison) }
+func TestPughChaos(t *testing.T)      { settest.RunAll(t, pugh, settest.Chaos) }
+func TestLockFree(t *testing.T)       { settest.RunAll(t, lockFree, settest.Point) }
+func TestLockFreeElided(t *testing.T) { settest.RunAll(t, lockFree, settest.Elided) }
+func TestLockFreeEBR(t *testing.T)    { settest.RunAll(t, lockFree, settest.EBR) }
+func TestLockFreePoison(t *testing.T) { settest.RunAll(t, lockFree, settest.Poison) }
+func TestLockFreeChaos(t *testing.T)  { settest.RunAll(t, lockFree, settest.Chaos) }
 
-func TestHerlihyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
+// wired names, in registry order, the skiplists with per-algorithm tests
+// above.
+var wired = []string{"skiplist/herlihy", "skiplist/lockfree", "skiplist/pugh"}
 
-func TestPugh(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-// TestScanners runs the linearizable range-scan battery on every skip
-// list; all are ordered structures.
-func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+// TestEveryAlgorithmWired fails until every registered skiplist is named
+// in wired with its per-algorithm tests, so a new algorithm cannot ship
+// without the whole matrix.
+func TestEveryAlgorithmWired(t *testing.T) {
+	var registered []string
+	for _, info := range core.ByKind("skiplist") {
+		registered = append(registered, info.Name)
+	}
+	if !slices.Equal(registered, wired) {
+		t.Fatalf("registered skiplists %v, per-algorithm tests for %v", registered, wired)
 	}
 }
 
-// TestCursors runs the paginated-iteration battery on every skip list.
-func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+// eachAlg runs the batteries b on every registered skiplist, one subtest
+// per algorithm named without its kind prefix.
+func eachAlg(t *testing.T, b settest.Battery) {
+	for _, info := range core.ByKind("skiplist") {
+		t.Run(strings.TrimPrefix(info.Name, "skiplist/"), func(t *testing.T) { settest.RunAll(t, info.New, b) })
 	}
 }
 
-// TestBatchers runs the batched-operation battery on every skip list
-// (sorted point application — a resumed level-0 walk would forfeit the
-// logarithmic descents, see batch.go).
-func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
-	}
-}
+// The capability arms loop the registry.
+func TestScanners(t *testing.T)       { eachAlg(t, settest.Scan) }
+func TestCursors(t *testing.T)        { eachAlg(t, settest.Cursor) }
+func TestCursorPageCost(t *testing.T) { eachAlg(t, settest.PageCost) }
+func TestBatchers(t *testing.T)       { eachAlg(t, settest.Batch) }
 
 func TestRegistry(t *testing.T) {
 	info, ok := core.Featured("skiplist")
@@ -205,14 +207,6 @@ func TestHerlihyMaxLevelOption(t *testing.T) {
 			t.Fatalf("Get(%d) = (%d, %v)", i, v, ok)
 		}
 	}
-}
-
-func TestLockFree(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLockFree(o) })
-}
-
-func TestLockFreeEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLockFree(o) })
 }
 
 func TestLockFreeLevel0Sorted(t *testing.T) {
